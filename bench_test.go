@@ -293,13 +293,36 @@ func benchmarkSimRun(b *testing.B, build func() sim.Options) {
 
 // BenchmarkSimRun holds the end-to-end engine benches: an idle-heavy
 // periodic-refresh shape, the adversarial hammer-beside-victims shape,
-// and a reduced Fig. 17 cell. CI regenerates BENCH_sim.json from these
+// a reduced Fig. 17 cell and a compute-heavy mix. CI regenerates BENCH_sim.json from these
 // and fails on >20% regression against the committed baseline.
 func BenchmarkSimRun(b *testing.B) {
 	b.Run("fig17-small", func(b *testing.B) {
 		mix := trace.Mixes()[0]
 		benchmarkSimRun(b, func() sim.Options {
 			opt := sim.DefaultOptions(mix.Specs[:]...)
+			opt.MemCfg = sim.SmallMemConfig()
+			opt.Instructions = 12_000
+			opt.Warmup = 1_200
+			opt.Mitigation = "RFM"
+			opt.NRH = 256
+			return opt
+		})
+	})
+	// Three compute-bound cores beside one memory-bound core: most
+	// cycles are quiet runs (cores only retiring and dispatching
+	// non-memory instructions while the memory system idles), the
+	// stretches the event-horizon engine leaps in closed form.
+	b.Run("compute-mix", func(b *testing.B) {
+		var specs []trace.Spec
+		for _, name := range []string{"453.povray", "453.povray", "453.povray", "429.mcf"} {
+			spec, err := trace.SpecByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			specs = append(specs, spec)
+		}
+		benchmarkSimRun(b, func() sim.Options {
+			opt := sim.DefaultOptions(specs...)
 			opt.MemCfg = sim.SmallMemConfig()
 			opt.Instructions = 12_000
 			opt.Warmup = 1_200

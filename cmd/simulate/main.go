@@ -220,6 +220,10 @@ func runTraceFile(path string, o exp.SysOptions, profile bool) error {
 		fmt.Printf("\n  cores: %d ticks, %d stall-skips, %.1fms; controller: %.1fms; wall %.1fms (%.2fM cycles/s)\n",
 			p.CoreTicks, p.CoreStallSkips, float64(p.CoreNanos)/1e6,
 			float64(p.CtrlNanos)/1e6, float64(p.WallNanos)/1e6, p.CyclesPerSecond/1e6)
+		if p.QuietLeaps > 0 {
+			fmt.Printf("  quiet leaps: %d covering %d cycles (%.1f%%)\n",
+				p.QuietLeaps, p.QuietCycles, 100*float64(p.QuietCycles)/float64(p.SimCycles))
+		}
 		if p.Windows > 0 {
 			fmt.Printf("  windows: %d (%d parallel) covering %d cycles, %d channel ticks over %d channel-advances, %.1fms (merge %.2fms)\n",
 				p.Windows, p.ParallelWindows, p.WindowCycles,

@@ -18,6 +18,10 @@ const (
 	DefaultWidth      = 4
 )
 
+// loadMask indexes the in-flight load ring; the ring has one entry per
+// window slot, and DefaultWindowSize is a power of two.
+const loadMask = DefaultWindowSize - 1
+
 // MemoryPort is the core's view of the memory hierarchy. Issue returns
 // false when the memory system cannot accept the request this cycle
 // (queue full); the core retries next cycle. For reads, done is
@@ -39,39 +43,52 @@ type QueueProbe interface {
 	CanAccept(addr uint64, write bool) bool
 }
 
-// slot is one instruction-window entry.
-type slot struct {
+// load is one in-flight load: its window sequence number and whether
+// its data has returned.
+type load struct {
+	seq  uint64
 	done bool
 }
 
 // Core is one simulated CPU core.
+//
+// The instruction window is a pair of counters: instructions are
+// numbered in program order, and retired..dispatched-1 are in flight.
+// Bubbles and stores are complete the moment they dispatch, so only
+// loads carry per-entry state, in a ring ordered by seq. Retiring
+// advances retired to the oldest incomplete load (at most width), and
+// dispatching a run of bubbles is one addition to dispatched.
 type Core struct {
-	id     int
-	gen    trace.Generator
-	mem    MemoryPort
-	probe  QueueProbe // mem, when it supports occupancy probing
-	window []slot
-	head   int
-	count  int
+	id    int
+	gen   trace.Generator
+	mem   MemoryPort
+	probe QueueProbe // mem, when it supports occupancy probing
 
-	// doneFns caches one completion closure per window slot. A slot
-	// holds at most one outstanding load at a time, so the closure can
-	// be built once at construction and reused for every load landing
-	// in that slot — the issue path then allocates nothing.
-	doneFns []func()
+	retired, dispatched uint64
+
+	// loads holds the window's loads oldest first, starting at
+	// loadHead. Every retired load has left the ring, so
+	// loads[loadHead] is the window head whenever its seq equals
+	// retired.
+	loads     [DefaultWindowSize]load
+	loadHead  int
+	loadCount int
+
+	// doneFns caches one completion closure per ring entry. An entry
+	// holds at most one outstanding load at a time (a load leaves the
+	// ring only once done), so the closure can be built once at
+	// construction and reused — the issue path then allocates nothing.
+	doneFns [DefaultWindowSize]func()
 
 	// pending is the stalled front of the trace: bubbles left to
 	// insert, then possibly a memory access not yet accepted.
+	// bubblesLeft > 0 implies havePending.
 	bubblesLeft int
 	memRec      trace.Record
 	havePending bool
 
-	width int
-
-	retired  uint64
 	cycles   uint64
 	loadsOut int
-	progress uint64 // bumped whenever Tick retires or dispatches
 
 	// stats
 	Loads, Stores uint64
@@ -81,18 +98,15 @@ type Core struct {
 func New(id int, gen trace.Generator, mem MemoryPort) *Core {
 	probe, _ := mem.(QueueProbe)
 	c := &Core{
-		id:     id,
-		gen:    gen,
-		mem:    mem,
-		probe:  probe,
-		window: make([]slot, DefaultWindowSize),
-		width:  DefaultWidth,
+		id:    id,
+		gen:   gen,
+		mem:   mem,
+		probe: probe,
 	}
-	c.doneFns = make([]func(), len(c.window))
 	for i := range c.doneFns {
-		idx := i
+		l := &c.loads[i]
 		c.doneFns[i] = func() {
-			c.window[idx].done = true
+			l.done = true
 			c.loadsOut--
 		}
 	}
@@ -125,25 +139,35 @@ func (c *Core) OutstandingLoads() int { return c.loadsOut }
 func (c *Core) Tick() {
 	c.cycles++
 
-	// Retire.
-	for n := 0; n < c.width && c.count > 0; n++ {
-		if !c.window[c.head].done {
-			break // head is an outstanding load: in-order retire stalls
-		}
-		c.head = (c.head + 1) % len(c.window)
-		c.count--
-		c.retired++
-		c.progress++
-	}
-
-	// Dispatch.
-	for n := 0; n < c.width && c.count < len(c.window); n++ {
-		if !c.refillPending() {
+	// Retire: in order, up to width, stopping at the oldest load
+	// still outstanding.
+	limit := min(c.retired+DefaultWidth, c.dispatched)
+	for c.loadCount > 0 {
+		l := &c.loads[c.loadHead]
+		if l.seq >= limit {
 			break
 		}
+		if !l.done {
+			limit = l.seq
+			break
+		}
+		c.loadHead = (c.loadHead + 1) & loadMask
+		c.loadCount--
+	}
+	c.retired = limit
+
+	// Dispatch.
+	for n := 0; n < DefaultWidth; {
+		room := DefaultWindowSize - int(c.dispatched-c.retired)
+		if room == 0 {
+			break
+		}
+		c.refillPending()
 		if c.bubblesLeft > 0 {
-			c.bubblesLeft--
-			c.push(true)
+			b := min(DefaultWidth-n, c.bubblesLeft, room)
+			c.bubblesLeft -= b
+			c.dispatched += uint64(b)
+			n += b
 			continue
 		}
 		// Memory access at the front.
@@ -155,23 +179,25 @@ func (c *Core) Tick() {
 			}
 			c.Stores++
 			c.havePending = false
-			c.push(true)
+			c.dispatched++
+			n++
 			continue
 		}
-		// Load: occupies a slot until the callback fires. The slot is
-		// written before Issue so a synchronous callback cannot be
-		// clobbered; it is only counted if the issue succeeds.
-		idx := (c.head + c.count) % len(c.window)
-		c.window[idx] = slot{done: false}
-		issued := c.mem.Issue(rec.Addr, false, c.doneFns[idx])
-		if !issued {
+		// Load: occupies a ring entry until the callback fires. The
+		// entry is written before Issue so a synchronous callback
+		// cannot be clobbered; it is only counted if the issue
+		// succeeds.
+		idx := (c.loadHead + c.loadCount) & loadMask
+		c.loads[idx] = load{seq: c.dispatched}
+		if !c.mem.Issue(rec.Addr, false, c.doneFns[idx]) {
 			break // read queue full; retry next cycle
 		}
-		c.count++
+		c.loadCount++
+		c.dispatched++
 		c.Loads++
 		c.loadsOut++
-		c.progress++
 		c.havePending = false
+		n++
 	}
 }
 
@@ -180,7 +206,7 @@ func (c *Core) Tick() {
 // stall (only the cycle counter moved) — the observable behind the
 // NextEvent soundness test, mirroring Controller.Events on the memory
 // side.
-func (c *Core) Progress() uint64 { return c.progress }
+func (c *Core) Progress() uint64 { return c.retired + c.dispatched }
 
 // NextEvent reports the core's event horizon in the shared engine
 // clock: 0 when the very next Tick can retire or dispatch something
@@ -192,10 +218,12 @@ func (c *Core) Progress() uint64 { return c.progress }
 // loop may safely leap to the controller's own horizon while every
 // core reports MaxUint64.
 func (c *Core) NextEvent() uint64 {
-	if c.count > 0 && c.window[c.head].done {
-		return 0 // retire can proceed
+	if c.retired < c.dispatched {
+		if l := c.loads[c.loadHead]; c.loadCount == 0 || l.seq != c.retired || l.done {
+			return 0 // retire can proceed
+		}
 	}
-	if c.count < len(c.window) {
+	if c.dispatched-c.retired < DefaultWindowSize {
 		if !c.havePending || c.bubblesLeft > 0 {
 			return 0 // a bubble (or a fresh trace record) can dispatch
 		}
@@ -217,22 +245,116 @@ func (c *Core) AdvanceTo(cycle uint64) {
 	}
 }
 
+// QuietTicks returns how many of the next Ticks, up to max, are quiet:
+// they call neither mem.Issue nor gen.Next, provided no load completes
+// meanwhile. The count stops on the tick where Retired() first reaches
+// target (a target at or below Retired() never stops it), so a caller
+// leaping by the result lands exactly on that crossing. It changes
+// nothing; AdvanceQuiet applies the ticks.
+func (c *Core) QuietTicks(max, target uint64) uint64 {
+	// Cheapest exit first, for the engine's busy path: with window
+	// room, the next tick reaches the trace or the memory port unless
+	// enough bubbles are pending. Retiring only adds room, so this is
+	// exact for the first tick.
+	if room := DefaultWindowSize - (c.dispatched - c.retired); room > 0 && uint64(c.bubblesLeft) < min(DefaultWidth, room) {
+		return 0
+	}
+	k, _, _, _ := c.quietRun(max, target)
+	return k
+}
+
+// AdvanceQuiet applies k quiet Ticks in closed form, with exactly the
+// effect of k calls to Tick. QuietTicks(k, 0) must equal k, and no
+// completion may arrive during the k cycles; the event-horizon engine
+// guarantees the latter by never leaping past the memory system's
+// horizon.
+func (c *Core) AdvanceQuiet(k uint64) {
+	n, head, tail, bubbles := c.quietRun(k, 0)
+	if n != k {
+		panic("cpu: AdvanceQuiet beyond the quiet run")
+	}
+	c.cycles += k
+	c.retired, c.dispatched, c.bubblesLeft = head, tail, int(bubbles)
+	for c.loadCount > 0 && c.loads[c.loadHead].seq < head {
+		c.loadHead = (c.loadHead + 1) & loadMask
+		c.loadCount--
+	}
+}
+
+// quietRun walks up to max Ticks ahead on copies of the window
+// counters (retired, dispatched, bubbles left) and returns how many
+// are quiet (see QuietTicks) with the counters after them. Loads
+// cannot complete during the walk, so the oldest outstanding load
+// fixes the retire bound throughout, and every tick dispatches bubbles
+// only. Two stretches are taken in one
+// step: the steady state, where each tick retires width and dispatches
+// width bubbles, and a stall, where the window is full behind an
+// outstanding load and every further tick is a no-op. The ticks
+// between them — the window filling or draining — are walked singly,
+// at most a window's worth.
+func (c *Core) quietRun(max, target uint64) (k, head, tail, bubbles uint64) {
+	const w, size = DefaultWidth, DefaultWindowSize
+	head, tail, bubbles = c.retired, c.dispatched, uint64(c.bubblesLeft)
+	block := uint64(math.MaxUint64) // seq of the oldest outstanding load
+	for i := 0; i < c.loadCount; i++ {
+		if l := c.loads[(c.loadHead+i)&loadMask]; !l.done {
+			block = l.seq
+			break
+		}
+	}
+	goal := uint64(math.MaxUint64)
+	if target > c.retired {
+		goal = target
+	}
+	for k < max {
+		limit := min(block, tail)
+		if limit-head >= w && bubbles >= w {
+			// Steady state: occupancy stays put, so every tick retires
+			// width and dispatches width until the bubbles, the run up
+			// to the blocking load, the budget or the goal run out.
+			j := min(bubbles/w, max-k, (goal-head-1)/w+1)
+			if block != math.MaxUint64 {
+				j = min(j, (block-head)/w)
+			}
+			head += j * w
+			tail += j * w
+			bubbles -= j * w
+			k += j
+		} else {
+			r := min(w, limit-head)
+			b := uint64(0)
+			if used := tail - head - r; used < size {
+				if b = min(w, size-used); bubbles < b {
+					// The next tick dispatches past the bubbles: it
+					// reaches the memory access, or gen.Next when no
+					// record is pending (bubbles is then 0).
+					return k, head, tail, bubbles
+				}
+			}
+			if r == 0 && b == 0 {
+				// Full window behind an outstanding load: nothing moves
+				// until it completes.
+				return max, head, tail, bubbles
+			}
+			head += r
+			tail += b
+			bubbles -= b
+			k++
+		}
+		if head >= goal {
+			break
+		}
+	}
+	return k, head, tail, bubbles
+}
+
 // refillPending ensures there is a trace record being worked on.
-func (c *Core) refillPending() bool {
+func (c *Core) refillPending() {
 	if c.havePending {
-		return true
+		return
 	}
 	rec := c.gen.Next()
 	c.memRec = rec
 	c.bubblesLeft = rec.Bubbles
 	c.havePending = true
-	return true
-}
-
-// push appends one instruction to the window.
-func (c *Core) push(done bool) {
-	idx := (c.head + c.count) % len(c.window)
-	c.window[idx] = slot{done: done}
-	c.count++
-	c.progress++
 }

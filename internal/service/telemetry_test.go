@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pacram/internal/runner"
 	"pacram/internal/telemetry"
@@ -110,18 +111,28 @@ func TestMetricsEndpointsReconcile(t *testing.T) {
 		t.Error("store collector reported no hits")
 	}
 
-	// The Prometheus surface serves the same registry as text.
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	// The Prometheus surface serves the same registry as text. The SSE
+	// handler drops its subscriber gauge only after flushing the final
+	// event the client has already read, so the gauge may lag the
+	// stream's end briefly: poll until it reads 0, within a deadline.
+	var body []byte
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Errorf("content type %q", ct)
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(body), "pacram_sse_subscribers 0") || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	for _, series := range []string{
 		"# TYPE pacram_pool_cells_total counter",

@@ -48,6 +48,11 @@ type engine struct {
 	// runs keep the exact original code path.
 	multi    bool
 	runnable []bool // per-core runnability, refreshed each step
+	// targets holds each core's next retired-instruction milestone
+	// (the warmup budget, then its measurement finish line). Quiet
+	// leaps stop on the cycle a core reaches it, so Run observes
+	// warmup end and per-core finish on the cycle it would per cycle.
+	targets []uint64
 	// prof, when non-nil, accumulates work attribution
 	// (Options.Profile). Profiling is observationally passive: the
 	// guards below read state but never change the tick/leap decisions.
@@ -56,9 +61,11 @@ type engine struct {
 
 // step advances simulated time by at least one cycle: it classifies
 // every core via NextEvent, leaps over the provably dead cycles up to
-// the system horizon when everyone is stalled, then ticks. The leap is
-// clamped so the maxCycles overrun check still fires on the exact
-// cycle the per-cycle engine would report.
+// the system horizon when everyone is stalled, then ticks. When some
+// core is runnable it first tries a quiet leap (see quietLeap), which
+// replaces the tick. Both leaps are clamped so the maxCycles overrun
+// check still fires on the exact cycle the per-cycle engine would
+// report.
 //
 // The runnability snapshot is taken once per step. During the core
 // loop a snapshot can only go stale in the safe direction: an earlier
@@ -96,6 +103,8 @@ func (e *engine) step(maxCycles uint64) {
 					e.ctrl.AdvanceTo(target)
 				}
 			}
+		} else if e.quietLeap(maxCycles) {
+			return
 		}
 	}
 	// Tick in the round-robin order the per-cycle engine uses (see
@@ -140,6 +149,61 @@ func (e *engine) step(maxCycles uint64) {
 	if e.prof != nil {
 		e.prof.ctrlNanos += int64(time.Since(phaseStart))
 	}
+}
+
+// quietLeap advances across a quiet run: k cycles in which no core
+// calls Issue or draws a trace record and the memory system changes
+// nothing — runnable cores only retire and dispatch bubbles. k is the
+// smallest of every runnable core's QuietTicks, the cycles left before
+// the memory system's horizon, and the maxCycles clamp. Controller
+// ticks before the horizon are no-ops by the NextEvent contract, so no
+// completion lands mid-run; no core issues, so the horizon holds and
+// the round-robin order is moot; and QuietTicks stops on each core's
+// target, so warmup end and finish cycles land where the per-cycle
+// engine puts them. Runnable cores apply the run in closed form
+// (AdvanceQuiet), stalled ones and the memory system only move their
+// clocks. It reports whether it leapt; runs shorter than two cycles
+// are left to the ordinary step.
+func (e *engine) quietLeap(maxCycles uint64) bool {
+	var t0 time.Time
+	if e.prof != nil {
+		t0 = time.Now()
+	}
+	cyc := e.ctrl.Cycle()
+	k := uint64(math.MaxUint64) - cyc
+	if maxCycles != math.MaxUint64 {
+		k = maxCycles + 1 - cyc // land on maxCycles+1 at most: the overrun cycle
+	}
+	for i, c := range e.cores {
+		if e.runnable[i] {
+			if k = c.QuietTicks(k, e.targets[i]); k < 2 {
+				return false
+			}
+		}
+	}
+	h := e.ctrl.NextEvent()
+	if h < cyc+3 {
+		return false
+	}
+	k = min(k, h-1-cyc)
+	for i, c := range e.cores {
+		if e.runnable[i] {
+			c.AdvanceTo(cyc)
+			c.AdvanceQuiet(k)
+		} else {
+			c.AdvanceTo(cyc + k)
+		}
+	}
+	e.ctrl.AdvanceTo(cyc + k)
+	if e.prof != nil {
+		e.prof.leaps++
+		e.prof.leapCycles += k
+		e.prof.leapHist.Observe(float64(k))
+		e.prof.quietLeaps++
+		e.prof.quietCycles += k
+		e.prof.coreNanos += int64(time.Since(t0))
+	}
+	return true
 }
 
 // windowLeap is the multi-channel leap: instead of jumping everything

@@ -73,6 +73,24 @@ func TestEngineParitySynthetic(t *testing.T) {
 	}
 	runBoth(t, "mix-4core", parityOpts(t, names...))
 
+	// Compute-heavy cores spend most cycles in quiet runs (bubbles
+	// only, memory idle), which the event-horizon engine leaps in
+	// closed form. Three of them beside a memory-bound core make the
+	// leap's bound alternate between the cores and the controller.
+	runBoth(t, "compute-mix", parityOpts(t, "453.povray", "453.povray", "453.povray", "429.mcf"))
+	// Budgets off the 4-wide retire grid put warmup end and each
+	// core's finish inside a bubble run: a quiet leap must stop on the
+	// exact crossing cycle.
+	for _, w := range [][]string{{"453.povray"}, {"453.povray", "429.mcf"}} {
+		base := parityOpts(t, w...)
+		runBoth(t, "odd-budgets-"+strings.Join(w, "+"), func() Options {
+			opt := base()
+			opt.Instructions = 8_003
+			opt.Warmup = 801
+			return opt
+		})
+	}
+
 	for _, mech := range []string{"PARA", "RFM", "PRAC", "Hydra", "Graphene"} {
 		base := parityOpts(t, "429.mcf")
 		runBoth(t, "mitigation-"+mech, func() Options {
@@ -496,5 +514,28 @@ func TestEngineParityStallError(t *testing.T) {
 	// The memory-bound core (429.mcf on core 0) is the straggler.
 	if want := "core 0 (429.mcf)"; !strings.Contains(msgs[0], want) {
 		t.Errorf("stall error %q does not name the stalled core %q", msgs[0], want)
+	}
+
+	// A compute-bound core spends most cycles in quiet runs; in this
+	// stretch of budgets most overrun cycles fall inside one (a leap
+	// that overshoots the clamp by 99 cycles diverges on 21 of the 25).
+	// The quiet leap must stop on the overrun cycle, with the core's
+	// progress exactly where the per-cycle engine leaves it.
+	povray := parityOpts(t, "453.povray")
+	for maxCycles := uint64(1_100); maxCycles < 1_200; maxCycles += 4 {
+		var msgs [2]string
+		for i, engine := range []string{EnginePerCycle, EngineEventHorizon} {
+			opt := povray()
+			opt.MaxCycles = maxCycles
+			opt.Engine = engine
+			_, err := Run(opt)
+			if err == nil {
+				t.Fatalf("%s: MaxCycles %d: expected a stall error", engine, maxCycles)
+			}
+			msgs[i] = err.Error()
+		}
+		if msgs[0] != msgs[1] {
+			t.Errorf("MaxCycles %d: stall errors diverged:\nper-cycle:     %s\nevent-horizon: %s", maxCycles, msgs[0], msgs[1])
+		}
 	}
 }

@@ -48,6 +48,13 @@ type Profile struct {
 	WindowChannelTicks     uint64 `json:"windowChannelTicks,omitempty"`
 	WindowChannelsAdvanced uint64 `json:"windowChannelsAdvanced,omitempty"`
 	ParallelWindows        uint64 `json:"parallelWindows,omitempty"`
+	// QuietLeaps counts leaps across quiet runs — stretches where some
+	// core is runnable but only retires and dispatches non-memory
+	// instructions while the memory system idles — and QuietCycles the
+	// cycles they covered. Like windows they are a subset of Leaps and
+	// LeapCycles.
+	QuietLeaps  uint64 `json:"quietLeaps,omitempty"`
+	QuietCycles uint64 `json:"quietCycles,omitempty"`
 	// Refreshes/RFMs/PreventiveRefreshes count the refresh-layer and
 	// mitigation-layer commands issued over the whole run (warmup
 	// included), attributing simulated memory work per layer.
@@ -55,10 +62,11 @@ type Profile struct {
 	RFMs                uint64 `json:"rfms"`
 	PreventiveRefreshes uint64 `json:"preventiveRefreshes"`
 	// WallNanos is the wall time spent simulating (setup excluded);
-	// CoreNanos and CtrlNanos split it between the core tick loop and
-	// controller ticks (leap bookkeeping and loop overhead make up the
-	// rest). WindowNanos is the slice spent inside channel windows and
-	// MergeNanos, within that, replaying buffered audit callbacks.
+	// CoreNanos and CtrlNanos split it between the core tick loop (and
+	// quiet leaps, which only advance cores) and controller ticks (leap
+	// bookkeeping and loop overhead make up the rest). WindowNanos is
+	// the slice spent inside channel windows and MergeNanos, within
+	// that, replaying buffered audit callbacks.
 	// CyclesPerSecond is SimCycles over WallNanos.
 	WallNanos       int64   `json:"wallNanos"`
 	CoreNanos       int64   `json:"coreNanos"`
@@ -96,6 +104,9 @@ type profCollector struct {
 	windowChannelsAdvanced uint64
 	parallelWindows        uint64
 
+	quietLeaps  uint64
+	quietCycles uint64
+
 	coreNanos   int64
 	ctrlNanos   int64
 	windowNanos int64
@@ -131,6 +142,8 @@ func (p *profCollector) report(engine string, simCycles, refs, rfms, vrrs uint64
 		WindowChannelTicks:     p.windowChannelTicks,
 		WindowChannelsAdvanced: p.windowChannelsAdvanced,
 		ParallelWindows:        p.parallelWindows,
+		QuietLeaps:             p.quietLeaps,
+		QuietCycles:            p.quietCycles,
 
 		WallNanos:   int64(wall),
 		CoreNanos:   p.coreNanos,

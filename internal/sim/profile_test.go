@@ -161,3 +161,36 @@ func TestEngineParityWithProfile(t *testing.T) {
 		t.Errorf("engines diverged under profiling:\nper-cycle:     %+v\nevent-horizon: %+v", want, got)
 	}
 }
+
+// TestProfileQuietLeaps checks the quiet-leap counters: a compute-heavy
+// mix leaps across quiet runs, every quiet leap is also counted as a
+// leap (so the Steps + LeapCycles == SimCycles identity covers it), and
+// the per-cycle reference never quiet-leaps.
+func TestProfileQuietLeaps(t *testing.T) {
+	build := parityOpts(t, "453.povray", "453.povray", "453.povray", "429.mcf")
+	for _, engine := range []string{EngineEventHorizon, EnginePerCycle} {
+		opt := build()
+		opt.Engine = engine
+		opt.Profile = true
+		res, err := Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Profile
+		if engine == EnginePerCycle {
+			if p.QuietLeaps != 0 || p.QuietCycles != 0 {
+				t.Errorf("per-cycle engine quiet-leapt: %d leaps over %d cycles", p.QuietLeaps, p.QuietCycles)
+			}
+			continue
+		}
+		if p.QuietLeaps == 0 || p.QuietCycles < 2*p.QuietLeaps {
+			t.Fatalf("no quiet leaps of two or more cycles: %d leaps over %d cycles", p.QuietLeaps, p.QuietCycles)
+		}
+		if p.QuietLeaps > p.Leaps || p.QuietCycles > p.LeapCycles {
+			t.Errorf("quiet leaps %d/%d cycles exceed all leaps %d/%d", p.QuietLeaps, p.QuietCycles, p.Leaps, p.LeapCycles)
+		}
+		if p.Steps+p.LeapCycles != p.SimCycles {
+			t.Errorf("steps %d + leapCycles %d != simCycles %d", p.Steps, p.LeapCycles, p.SimCycles)
+		}
+	}
+}

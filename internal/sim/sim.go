@@ -25,6 +25,10 @@
 //     cycles. It is exact, not approximate, because every busy-time
 //     statistic (DemandBusy, RefBusy, PrevRefBusy) is accumulated as
 //     an interval when its command issues, never by per-cycle polling.
+//   - cpu.Core.QuietTicks and AdvanceQuiet extend leaps to quiet runs,
+//     where some core is runnable but every core only retires and
+//     dispatches non-memory instructions until the memory system's
+//     horizon: the run is applied in closed form instead of ticked.
 //
 // Under this contract the two engines are byte-identical — same
 // Result, same Stats, same Energy, bit for bit — which parity_test.go
@@ -263,12 +267,16 @@ func Run(opt Options) (Result, error) {
 		perCycle: perCycle,
 		multi:    ctrl.NumChannels() > 1,
 		runnable: make([]bool, len(cores)),
+		targets:  make([]uint64, len(cores)),
 	}
 	if opt.Profile {
 		eng.prof = newProfCollector()
 	}
 
 	// Warmup.
+	for i := range eng.targets {
+		eng.targets[i] = opt.Warmup
+	}
 	for !allRetired(cores, opt.Warmup) {
 		eng.step(maxCycles)
 		if ctrl.Cycle() > maxCycles {
@@ -281,6 +289,7 @@ func Run(opt Options) (Result, error) {
 	baseRetired := make([]uint64, len(cores))
 	for i, c := range cores {
 		baseRetired[i] = c.Retired()
+		eng.targets[i] = baseRetired[i] + opt.Instructions
 	}
 
 	// Measurement: run until every core retires its budget; record

@@ -9,7 +9,11 @@
 // xoshiro256** generators derived from (seed, label...) tuples.
 package xrand
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // splitmix64 advances the given state and returns the next value of the
 // splitmix64 sequence. It is used both as a seeding function for
@@ -180,7 +184,41 @@ func NewZipf(n int64, theta float64) *Zipf {
 // in n for the multi-gigabyte footprints the workload catalog uses.
 const zetaExactTerms = 10000
 
+// zetaCache memoizes zeta per (n, theta): every Zipf construction needs
+// it, and the summation costs up to zetaExactTerms math.Pow calls.
+// zeta is a pure function, so a cached value is bit-identical to a
+// fresh one. Keys come from workload specs, which a daemon accepts
+// from the network, so the cache stops growing at zetaCacheMax
+// entries; later keys are computed afresh every time.
+var (
+	zetaCache   sync.Map // zetaKey -> float64
+	zetaEntries atomic.Int64
+)
+
+const zetaCacheMax = 1024
+
+type zetaKey struct {
+	n     int64
+	theta float64
+}
+
 func zeta(n int64, theta float64) float64 {
+	key := zetaKey{n, theta}
+	if v, ok := zetaCache.Load(key); ok {
+		return v.(float64)
+	}
+	v := zetaSum(n, theta)
+	if zetaEntries.Load() < zetaCacheMax {
+		if _, loaded := zetaCache.LoadOrStore(key, v); !loaded {
+			zetaEntries.Add(1)
+		}
+	}
+	return v
+}
+
+// zetaSum computes sum_{i=1..n} i^-theta, exactly over the first
+// zetaExactTerms terms and by the integral beyond.
+func zetaSum(n int64, theta float64) float64 {
 	k := n
 	if k > zetaExactTerms {
 		k = zetaExactTerms

@@ -226,3 +226,23 @@ func BenchmarkNormFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestZetaCacheBitExact: the memoized zeta returns exactly the bits of
+// a fresh summation, on the first (computing) and later (cached) calls,
+// for both the exact-sum and the integrated-tail regimes.
+func TestZetaCacheBitExact(t *testing.T) {
+	for _, tc := range []struct {
+		n     int64
+		theta float64
+	}{{2, 0.99}, {1000, 0.99}, {zetaExactTerms, 0.5}, {1 << 22, 0.99}, {1 << 30, 0.8}} {
+		fresh := zetaSum(tc.n, tc.theta)
+		for i := 0; i < 2; i++ {
+			if got := zeta(tc.n, tc.theta); math.Float64bits(got) != math.Float64bits(fresh) {
+				t.Fatalf("zeta(%d, %v) call %d = %v, fresh summation %v", tc.n, tc.theta, i, got, fresh)
+			}
+		}
+		if _, ok := zetaCache.Load(zetaKey{tc.n, tc.theta}); !ok {
+			t.Errorf("zeta(%d, %v) was not cached", tc.n, tc.theta)
+		}
+	}
+}
