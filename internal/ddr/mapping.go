@@ -16,11 +16,13 @@ type Mapper struct {
 	fields []mapField
 	scheme string
 
-	// chanShift/chanMask extract the channel bits without a full
-	// Decode; memsys.System consults them for every request and every
-	// occupancy probe. Precomputed by finish().
-	chanShift uint
-	chanMask  uint64
+	// shift/mask locate each field kind's bits, so Decode and ChannelOf
+	// are straight-line shift-and-masks instead of a walk over fields
+	// (memsys decodes every request and routes every occupancy probe).
+	// colLow is the fColumnLow width. Precomputed by finish().
+	shift  [numFieldKinds]uint
+	mask   [numFieldKinds]uint64
+	colLow uint
 }
 
 type mapField struct {
@@ -39,6 +41,7 @@ const (
 	fBank
 	fColumnHigh
 	fRow
+	numFieldKinds
 )
 
 func log2(v int) int { return bits.TrailingZeros(uint(v)) }
@@ -93,19 +96,17 @@ func NewRowInterleavedMapper(geo Geometry) (*Mapper, error) {
 	return m, nil
 }
 
-// finish precomputes the channel-extraction shift/mask from the field
-// layout. With a single channel the mask is zero and ChannelOf is
-// constant 0.
+// finish precomputes each field kind's shift and mask from the field
+// layout. A zero-width field (a single channel, say) has a zero mask
+// and always decodes to 0.
 func (m *Mapper) finish() {
 	shift := uint(0)
 	for _, f := range m.fields {
-		if f.kind == fChannel {
-			m.chanShift = shift
-			m.chanMask = 1<<f.bits - 1
-			return
-		}
+		m.shift[f.kind] = shift
+		m.mask[f.kind] = 1<<f.bits - 1
 		shift += uint(f.bits)
 	}
+	m.colLow = uint(bits.OnesCount64(m.mask[fColumnLow]))
 }
 
 // Scheme returns the mapping scheme name.
@@ -127,61 +128,32 @@ func (m *Mapper) AddressBits() int {
 // Address bits above AddressBits() wrap around (the address space is
 // treated as a torus so synthetic traces never fall out of range).
 func (m *Mapper) Decode(phys uint64) Address {
-	var a Address
-	for _, f := range m.fields {
-		v := int(phys & ((1 << f.bits) - 1))
-		phys >>= f.bits
-		switch f.kind {
-		case fOffset:
-			// byte offset within the line; discarded
-		case fColumnLow:
-			a.Column |= v
-		case fColumnHigh:
-			a.Column |= v << m.colLowBits()
-		case fChannel:
-			a.Channel = v
-		case fRank:
-			a.Rank = v
-		case fBankGroup:
-			a.BankGroup = v
-		case fBank:
-			a.Bank = v
-		case fRow:
-			a.Row = v
-		}
+	return Address{
+		Channel:   m.field(phys, fChannel),
+		Rank:      m.field(phys, fRank),
+		BankGroup: m.field(phys, fBankGroup),
+		Bank:      m.field(phys, fBank),
+		Row:       m.field(phys, fRow),
+		Column:    m.field(phys, fColumnLow) | m.field(phys, fColumnHigh)<<m.colLow,
 	}
-	return a
+}
+
+// field extracts the bits of one field kind from phys.
+func (m *Mapper) field(phys uint64, k fieldKind) int {
+	return int(phys >> m.shift[k] & m.mask[k])
 }
 
 // Encode is the inverse of Decode: it maps DRAM coordinates back to
 // the canonical flat physical byte address (offset bits zero).
 func (m *Mapper) Encode(a Address) uint64 {
-	var phys uint64
-	shift := 0
-	for _, f := range m.fields {
-		var v int
-		switch f.kind {
-		case fOffset:
-			v = 0
-		case fColumnLow:
-			v = a.Column & ((1 << f.bits) - 1)
-		case fColumnHigh:
-			v = a.Column >> m.colLowBits()
-		case fChannel:
-			v = a.Channel
-		case fRank:
-			v = a.Rank
-		case fBankGroup:
-			v = a.BankGroup
-		case fBank:
-			v = a.Bank
-		case fRow:
-			v = a.Row
-		}
-		phys |= uint64(v&((1<<f.bits)-1)) << shift
-		shift += f.bits
-	}
-	return phys
+	return m.put(a.Column, fColumnLow) | m.put(a.Column>>m.colLow, fColumnHigh) |
+		m.put(a.Channel, fChannel) | m.put(a.Rank, fRank) |
+		m.put(a.BankGroup, fBankGroup) | m.put(a.Bank, fBank) | m.put(a.Row, fRow)
+}
+
+// put places v's low bits in the field kind's position.
+func (m *Mapper) put(v int, k fieldKind) uint64 {
+	return uint64(v) & m.mask[k] << m.shift[k]
 }
 
 // ChannelOf extracts just the channel index of a flat physical byte
@@ -189,7 +161,7 @@ func (m *Mapper) Encode(a Address) uint64 {
 // system makes. It is a shift and a mask, not a full Decode, so it is
 // cheap enough for per-cycle occupancy probes.
 func (m *Mapper) ChannelOf(phys uint64) int {
-	return int(phys >> m.chanShift & m.chanMask)
+	return m.field(phys, fChannel)
 }
 
 // RowStrideBytes returns the smallest physical-address stride that
@@ -199,21 +171,5 @@ func (m *Mapper) ChannelOf(phys uint64) int {
 // it is 256KB; each channel doubling doubles it, because the channel
 // bits sit below the row bits.
 func (m *Mapper) RowStrideBytes() uint64 {
-	shift := 0
-	for _, f := range m.fields {
-		if f.kind == fRow {
-			break
-		}
-		shift += f.bits
-	}
-	return 1 << shift
-}
-
-func (m *Mapper) colLowBits() int {
-	for _, f := range m.fields {
-		if f.kind == fColumnLow {
-			return f.bits
-		}
-	}
-	return 0
+	return 1 << m.shift[fRow]
 }

@@ -3,6 +3,7 @@ package memsys
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pacram/internal/ddr"
 )
@@ -96,9 +97,14 @@ type Controller struct {
 	// tick was pure clock advance; see Events.
 	events uint64
 
-	// scratch is NextEvent's reusable per-bank dedup bitmap;
+	// rdHits/wrHits are the row-hit index (see hitIndex); ready is
+	// firstReadyColumn's scratch bitset of column-ready hit banks, and
+	// bankGroup maps a flat bank to its dense bank-group index.
+	rdHits, wrHits hitIndex
+	ready          []uint64
+	bankGroup      []int
+
 	// victimScratch is victimRows' reusable backing array.
-	scratch       []bool
 	victimScratch []int
 
 	// cached cycle conversions
@@ -147,8 +153,14 @@ func NewController(cfg Config, mitig Mitigation, policy RefreshPolicy) (*Control
 		ranks:  make([]rank, cfg.Geometry.Channels*cfg.Geometry.Ranks),
 	}
 	c.bgColReady = make([]uint64, cfg.Geometry.Channels*cfg.Geometry.Ranks*cfg.Geometry.BankGroups)
+	nb := len(c.banks)
+	c.rdHits, c.wrHits = newHitIndex(nb), newHitIndex(nb)
+	c.ready = make([]uint64, len(c.rdHits.set))
+	c.bankGroup = make([]int, nb)
 	for i := range c.banks {
 		c.banks[i].reset()
+		// FlatBank is bank-group-major with BanksPerGroup banks each.
+		c.bankGroup[i] = i / cfg.Geometry.BanksPerGroup
 	}
 	t := cfg.Timing
 	cyc := func(ns float64) uint64 { return uint64(math.Ceil(ns * cfg.CPUFreqGHz)) }
@@ -195,43 +207,10 @@ func (c *Controller) cycles(ns float64) uint64 {
 // Issue enqueues a request (MemoryPort for cores). Returns false when
 // the respective queue is full. The address is decoded with the
 // controller's own single-channel mapper; multi-channel systems decode
-// once at the System layer and call IssueDecoded instead. The two
-// paths deliberately do not share a body: a blocked core retries Issue
-// every cycle, and delegating measurably slows that per-cycle hot path
-// (BenchmarkControllerThroughput gates it in CI).
+// once at the System layer and call IssueDecoded directly.
 func (c *Controller) Issue(addr uint64, write bool, done func()) bool {
 	line := addr &^ uint64(c.cfg.Geometry.LineBytes-1)
-	if write {
-		if len(c.writeQ) >= c.cfg.WriteQueue {
-			return false
-		}
-		req := c.getRequest()
-		*req = Request{Addr: c.mapper.Decode(addr), Line: line, Write: true, Arrival: c.cycle}
-		c.indexRequest(req)
-		c.writeQ = append(c.writeQ, req)
-		return true
-	}
-	if len(c.readQ) >= c.cfg.ReadQueue {
-		return false
-	}
-	// Forward from the write queue when the line is pending there.
-	for _, w := range c.writeQ {
-		if w.Line == line {
-			if done != nil {
-				c.completions.schedule(c.cycle+1, done)
-			}
-			c.stats.Reads++ // serviced, albeit by forwarding
-			return true
-		}
-	}
-	req := c.getRequest()
-	*req = Request{Addr: c.mapper.Decode(addr), Line: line, Write: false, Done: done, Arrival: c.cycle}
-	c.indexRequest(req)
-	c.readQ = append(c.readQ, req)
-	if done != nil {
-		c.demandDone++
-	}
-	return true
+	return c.IssueDecoded(c.mapper.Decode(addr), line, write, done)
 }
 
 // IssueDecoded enqueues a request whose address is already decoded to
@@ -246,8 +225,7 @@ func (c *Controller) IssueDecoded(a ddr.Address, line uint64, write bool, done f
 		}
 		req := c.getRequest()
 		*req = Request{Addr: a, Line: line, Write: true, Arrival: c.cycle}
-		c.indexRequest(req)
-		c.writeQ = append(c.writeQ, req)
+		c.enqueue(req)
 		return true
 	}
 	if len(c.readQ) >= c.cfg.ReadQueue {
@@ -265,8 +243,7 @@ func (c *Controller) IssueDecoded(a ddr.Address, line uint64, write bool, done f
 	}
 	req := c.getRequest()
 	*req = Request{Addr: a, Line: line, Write: false, Done: done, Arrival: c.cycle}
-	c.indexRequest(req)
-	c.readQ = append(c.readQ, req)
+	c.enqueue(req)
 	if done != nil {
 		c.demandDone++
 	}
@@ -285,11 +262,19 @@ func (c *Controller) getRequest() *Request {
 	return new(Request)
 }
 
-// indexRequest fills the request's cached bank indices.
-func (c *Controller) indexRequest(req *Request) {
-	g := c.cfg.Geometry
-	req.bank = g.FlatBank(req.Addr)
-	req.group = (req.Addr.Channel*g.Ranks+req.Addr.Rank)*g.BankGroups + req.Addr.BankGroup
+// enqueue caches the request's flat bank, appends it to its queue and
+// counts it in the row-hit index if it targets its bank's open row.
+func (c *Controller) enqueue(req *Request) {
+	b := c.cfg.Geometry.FlatBank(req.Addr)
+	req.bank = b
+	if req.Write {
+		c.writeQ = append(c.writeQ, req)
+	} else {
+		c.readQ = append(c.readQ, req)
+	}
+	if c.banks[b].openRow == req.Addr.Row {
+		c.hits(req.Write).add(b)
+	}
 }
 
 // QueueMeta injects mitigation metadata traffic (Hydra's RCT).
@@ -301,16 +286,14 @@ func (c *Controller) queueMeta(bankFlat int, reads, writes int) {
 		a.Column = (int(c.stats.MetaReads) + i) % geo.Columns
 		req := c.getRequest()
 		*req = Request{Addr: a, Write: false, Arrival: c.cycle, Meta: true}
-		c.indexRequest(req)
-		c.readQ = append(c.readQ, req)
+		c.enqueue(req)
 		c.stats.MetaReads++
 	}
 	for i := 0; i < writes && len(c.writeQ) < c.cfg.WriteQueue; i++ {
 		a.Column = (int(c.stats.MetaWrites) + i) % geo.Columns
 		req := c.getRequest()
 		*req = Request{Addr: a, Write: true, Arrival: c.cycle, Meta: true}
-		c.indexRequest(req)
-		c.writeQ = append(c.writeQ, req)
+		c.enqueue(req)
 		c.stats.MetaWrites++
 	}
 }
@@ -535,12 +518,12 @@ func (c *Controller) tryDemand() {
 	// Ready read columns always take priority — even mid-drain —
 	// otherwise a drain whose writes conflict with an open read row
 	// can livelock the read (close the row at tRAS, reopen, repeat).
-	if i, b := c.firstReadyColumn(c.readQ); i >= 0 {
+	if i, b := c.firstReadyColumn(false); i >= 0 {
 		c.issueColumn(i, &c.readQ, b)
 		return
 	}
 	if q == &c.writeQ {
-		if i, b := c.firstReadyColumn(c.writeQ); i >= 0 {
+		if i, b := c.firstReadyColumn(true); i >= 0 {
 			c.issueColumn(i, &c.writeQ, b)
 			return
 		}
@@ -550,7 +533,7 @@ func (c *Controller) tryDemand() {
 	}
 	// Then FCFS: progress the oldest request.
 	req := (*q)[0]
-	b := c.bankFor(req)
+	b := req.bank
 	bk := &c.banks[b]
 	switch {
 	case bk.openRow == -1:
@@ -564,36 +547,59 @@ func (c *Controller) tryDemand() {
 	}
 }
 
-// firstReadyColumn returns the oldest request in q whose column
-// command can issue this cycle, with its bank (-1 if none).
-func (c *Controller) firstReadyColumn(q []*Request) (int, int) {
+// firstReadyColumn returns the oldest request in the read (or write)
+// queue whose column command can issue this cycle, with its bank (-1
+// if none). Every gate but the row match is per bank, so it answers
+// from the row-hit index: the bus gate and the set of column-ready hit
+// banks settle most calls without touching the queue, and otherwise
+// the queue is scanned only for the first request on a ready bank.
+func (c *Controller) firstReadyColumn(write bool) (int, int) {
+	q := c.readQ
+	if write {
+		q = c.writeQ
+		if c.cycle+c.cCWL < c.busUntil {
+			return -1, -1
+		}
+	} else if c.cycle+c.cCL < c.busUntil {
+		return -1, -1
+	}
+	anyReady := false
+	for w, word := range c.hits(write).set {
+		var r uint64
+		for word != 0 {
+			t := bits.TrailingZeros64(word)
+			word &= word - 1
+			if c.columnReadyAt(w<<6|t, write) <= c.cycle {
+				r |= 1 << t
+			}
+		}
+		c.ready[w] = r
+		anyReady = anyReady || r != 0
+	}
+	if !anyReady {
+		return -1, -1
+	}
 	for i, req := range q {
-		b := c.bankFor(req)
-		bk := &c.banks[b]
-		if bk.openRow == req.Addr.Row && c.canColumn(req, bk, req.Write) {
+		b := req.bank
+		if c.ready[b>>6]&(1<<(b&63)) != 0 && c.banks[b].openRow == req.Addr.Row {
 			return i, b
 		}
 	}
 	return -1, -1
 }
 
-func (c *Controller) bankFor(req *Request) int { return req.bank }
-
-func (c *Controller) canColumn(req *Request, bk *bank, write bool) bool {
-	if !bk.free(c.cycle) {
-		return false
-	}
-	if c.cycle < c.bgColReady[c.bankGroupOf(req)] {
-		return false // tCCD_L within the bank group
-	}
+// columnReadyAt returns the first cycle bank b's gates admit a read
+// (or write) column command, the shared data bus aside: the bank is
+// free, its tRCD/tCCD chain has elapsed, and so has its bank group's
+// tCCD_L.
+func (c *Controller) columnReadyAt(b int, write bool) uint64 {
+	bk := &c.banks[b]
+	colReady := bk.rdReady
 	if write {
-		return c.cycle >= bk.wrReady && c.cycle+c.cCWL >= c.busUntil
+		colReady = bk.wrReady
 	}
-	return c.cycle >= bk.rdReady && c.cycle+c.cCL >= c.busUntil
+	return max(bk.busyTill, colReady, c.bgColReady[c.bankGroup[b]])
 }
-
-// bankGroupOf returns the dense bank-group index of a request.
-func (c *Controller) bankGroupOf(req *Request) int { return req.group }
 
 // issueACT opens a row and notifies the mitigation mechanism. ACTs on
 // behalf of mitigation metadata (meta=true) still disturb neighbours
@@ -609,6 +615,7 @@ func (c *Controller) issueACT(b, row int, meta bool) {
 	bk.rdReady = c.cycle + c.cRCD
 	bk.wrReady = c.cycle + c.cRCD
 	bk.preReady = c.cycle + c.cRAS
+	c.recountHits(b, row)
 	c.ranks[c.bankRank(b)].recordACT(c.cycle)
 	c.stats.Acts++
 	c.stats.DemandBusy += uint64(c.cRAS)
@@ -640,6 +647,8 @@ func (c *Controller) issuePRE(b int) {
 	bk.openRow = -1
 	bk.actReady = c.cycle + c.cRP
 	c.stats.Pres++
+	c.rdHits.reset(b, 0)
+	c.wrHits.reset(b, 0)
 }
 
 // issueColumn issues the RD/WR for (*q)[i], removes it from the queue
@@ -648,7 +657,8 @@ func (c *Controller) issueColumn(i int, q *[]*Request, b int) {
 	c.events++
 	req := (*q)[i]
 	bk := &c.banks[b]
-	c.bgColReady[c.bankGroupOf(req)] = c.cycle + c.cCCD
+	c.bgColReady[c.bankGroup[b]] = c.cycle + c.cCCD
+	c.hits(req.Write).remove(b)
 	if req.Write {
 		bk.wrReady = c.cycle + c.cCCD
 		bk.rdReady = c.cycle + c.cCWL + c.cBL + c.cWTR

@@ -1,5 +1,7 @@
 package memsys
 
+import "math/bits"
+
 // Event-horizon surface: the controller reports how far simulated time
 // can safely leap while it is idle, and accepts clock jumps over the
 // proven-idle stretch. sim.Run's event-horizon engine is the caller.
@@ -147,18 +149,10 @@ func (c *Controller) NextEvent() uint64 {
 	// tryDemand. Ready read columns take priority unconditionally, so
 	// every row-hit read contributes its column-ready time. All hits on
 	// one bank share every gating deadline (bank timing, its group's
-	// tCCD_L, the bus), so only the first hit per bank is evaluated.
-	busReadAt := satSub(c.busUntil, c.cCL)
-	seen := c.seenBanks()
-	for _, req := range c.readQ {
-		bk := &c.banks[req.bank]
-		if bk.openRow == req.Addr.Row && !seen[req.bank] {
-			seen[req.bank] = true
-			wake(max(bk.busyTill, bk.rdReady, c.bgColReady[req.group], busReadAt))
-			if h == soonest {
-				return h
-			}
-		}
+	// tCCD_L, the bus), so the row-hit index's banks are the candidates.
+	wake(c.columnHorizon(false))
+	if h == soonest {
+		return h
 	}
 	// Mirror tryDemand's drain hysteresis: the flag is re-derived from
 	// queue occupancy at the start of every demand pass, so the next
@@ -174,17 +168,9 @@ func (c *Controller) NextEvent() uint64 {
 	}
 	useWrite := draining || len(c.readQ) == 0
 	if useWrite {
-		busWriteAt := satSub(c.busUntil, c.cCWL)
-		seen := c.seenBanks()
-		for _, req := range c.writeQ {
-			bk := &c.banks[req.bank]
-			if bk.openRow == req.Addr.Row && !seen[req.bank] {
-				seen[req.bank] = true
-				wake(max(bk.busyTill, bk.wrReady, c.bgColReady[req.group], busWriteAt))
-				if h == soonest {
-					return h
-				}
-			}
+		wake(c.columnHorizon(true))
+		if h == soonest {
+			return h
 		}
 	}
 	// FCFS: the head of the active queue makes row progress (ACT or
@@ -198,7 +184,7 @@ func (c *Controller) NextEvent() uint64 {
 		head = c.readQ[0]
 	}
 	if head != nil {
-		b := c.bankFor(head)
+		b := head.bank
 		bk := &c.banks[b]
 		switch {
 		case bk.openRow == -1:
@@ -222,21 +208,36 @@ func (c *Controller) NextEvent() uint64 {
 	return h
 }
 
+// columnHorizon returns the earliest cycle a read (or write) column
+// command could issue: the minimum over the row-hit index's banks of
+// their column-ready deadlines (^0 if no queued request hits an open
+// row). It stops early once the minimum reaches Cycle()+1, below which
+// NextEvent clamps anyway.
+func (c *Controller) columnHorizon(write bool) uint64 {
+	busAt := satSub(c.busUntil, c.cCL)
+	if write {
+		busAt = satSub(c.busUntil, c.cCWL)
+	}
+	h := ^uint64(0)
+	for w, word := range c.hits(write).set {
+		for word != 0 {
+			b := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if at := max(c.columnReadyAt(b, write), busAt); at < h {
+				h = at
+				if h <= c.cycle+1 {
+					return h
+				}
+			}
+		}
+	}
+	return h
+}
+
 // satSub is a - b saturating at zero.
 func satSub(a, b uint64) uint64 {
 	if a < b {
 		return 0
 	}
 	return a - b
-}
-
-// seenBanks returns a cleared per-bank scratch bitmap for NextEvent's
-// column scans (allocated once, reused across calls).
-func (c *Controller) seenBanks() []bool {
-	if c.scratch == nil {
-		c.scratch = make([]bool, len(c.banks))
-	} else {
-		clear(c.scratch)
-	}
-	return c.scratch
 }

@@ -34,10 +34,9 @@ type Request struct {
 	Arrival uint64 // cycle the request entered the queue
 	Meta    bool   // metadata traffic (e.g. Hydra's RCT accesses)
 
-	// bank and group cache the flat bank / dense bank-group indices of
-	// Addr: the FR-FCFS scan and the event-horizon computation consult
-	// them for every queued request every cycle.
-	bank, group int
+	// bank caches the flat bank index of Addr: FR-FCFS's column pick,
+	// the FCFS head and the row-hit index's ACT recount consult it.
+	bank int
 }
 
 // completion is a scheduled callback.
