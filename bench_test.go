@@ -15,6 +15,7 @@ import (
 	"pacram/internal/ddr"
 	"pacram/internal/exp"
 	"pacram/internal/memsys"
+	"pacram/internal/scenario"
 	"pacram/internal/sim"
 	"pacram/internal/trace"
 )
@@ -54,10 +55,21 @@ func BenchmarkTable1Inventory(b *testing.B) {
 	benchTable(b, func() (*exp.Table, error) { return exp.Table1(charOpts()) })
 }
 
+// benchFigure runs one paper figure the way simulate -exp does: its
+// scenario spec rescaled to o.
+func benchFigure(b *testing.B, id string, o exp.SysOptions) {
+	b.Helper()
+	s, err := scenario.FigureSpec(id, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTable(b, func() (*exp.Table, error) { return scenario.Run(s, scenario.RunOptions{}) })
+}
+
 func BenchmarkFig3PreventiveRefreshOverhead(b *testing.B) {
 	o := sysOpts()
 	o.Mitigations = []string{"PARA", "Graphene"}
-	benchTable(b, func() (*exp.Table, error) { return exp.Fig3(o) })
+	benchFigure(b, "fig3", o)
 }
 
 func BenchmarkFig4Motivation(b *testing.B) {
@@ -123,17 +135,17 @@ func BenchmarkFig16LatencySweep(b *testing.B) {
 func BenchmarkFig17Performance(b *testing.B) {
 	o := sysOpts()
 	o.Mitigations = []string{"RFM"}
-	benchTable(b, func() (*exp.Table, error) { return exp.Fig17(o) })
+	benchFigure(b, "fig17", o)
 }
 
 func BenchmarkFig18Energy(b *testing.B) {
 	o := sysOpts()
 	o.Mitigations = []string{"PARA"}
-	benchTable(b, func() (*exp.Table, error) { return exp.Fig18(o) })
+	benchFigure(b, "fig18", o)
 }
 
 func BenchmarkFig19PeriodicRefresh(b *testing.B) {
-	benchTable(b, func() (*exp.Table, error) { return exp.Fig19(sysOpts()) })
+	benchFigure(b, "fig19", sysOpts())
 }
 
 func BenchmarkTable3LowestNRH(b *testing.B) {

@@ -23,6 +23,7 @@ import (
 
 	"pacram/internal/exp"
 	"pacram/internal/mitigation"
+	"pacram/internal/scenario"
 	"pacram/internal/sim"
 	"pacram/internal/trace"
 )
@@ -157,16 +158,19 @@ func realMain() error {
 
 func runExperiment(id string, opt exp.SysOptions) (*exp.Table, error) {
 	switch id {
-	case "fig3":
-		return exp.Fig3(opt)
+	case "fig3", "fig17", "fig18", "fig19":
+		s, err := scenario.FigureSpec(id, opt)
+		if err != nil {
+			return nil, err
+		}
+		return scenario.Run(s, scenario.RunOptions{
+			Parallel: opt.Parallel,
+			CacheDir: opt.CacheDir,
+			StoreURL: opt.StoreURL,
+			Progress: opt.Progress,
+		})
 	case "fig16":
 		return exp.Fig16(opt)
-	case "fig17":
-		return exp.Fig17(opt)
-	case "fig18":
-		return exp.Fig18(opt)
-	case "fig19":
-		return exp.Fig19(opt)
 	case "area":
 		return exp.AreaReport(), nil
 	case "run":

@@ -7,8 +7,8 @@
 // on the root span; when any are present the report opens with a
 // fleet split attributing cells to machines, and the critical-path
 // lines name the executing worker. Computed cells also carry the simulator's own wall-time
-// split as sub-phases — sim-cores, sim-ctrl, and on multi-channel
-// shapes sim-windows and sim-window-merge (see sim.Profile) — so the
+// split as sub-phases — sim-cores, sim-ctrl, sim-windows and
+// sim-window-merge (see sim.Profile) — so the
 // breakdown separates core ticking from controller work from
 // channel-window advancement.
 //

@@ -10,6 +10,7 @@ import (
 	"pacram/internal/chips"
 	pacram "pacram/internal/core"
 	"pacram/internal/ddr"
+	"pacram/internal/energy"
 	"pacram/internal/runner"
 	"pacram/internal/stats"
 )
@@ -679,8 +680,8 @@ func Fig4(o CharOptions) (*Table, error) {
 				count := 1 / ratio
 				totalTime := count * latency
 				// Energy per refresh ~ base + restoration-time term.
-				const base, slope = 6.0, 0.20 // energy.Default coefficients
-				ePerRef := (base + slope*f*tm.TRAS) / (base + slope*tm.TRAS)
+				e := energy.Default()
+				ePerRef := (e.ActPreBaseNJ + e.RestorePerNsNJ*f*tm.TRAS) / (e.ActPreBaseNJ + e.RestorePerNsNJ*tm.TRAS)
 				t.AddRow(m.Info.ID, f, latency, ratio, count, totalTime, count*ePerRef)
 			}
 		}

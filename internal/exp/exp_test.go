@@ -59,30 +59,31 @@ func render(t *testing.T, tbl *Table) string {
 // sweeps.
 func TestParallelBitIdentical(t *testing.T) {
 	so := tinySys()
+	so.Workloads = []string{"429.mcf"}
 	so.Mitigations = []string{"PARA", "RFM"}
 	so.Parallel = 1
-	serialFig3, err := Fig3(so)
+	serialFig16, err := Fig16(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialFig17, err := Fig17(so)
+	serialRun, err := RunTable(so)
 	if err != nil {
 		t.Fatal(err)
 	}
 	so.Parallel = 8
-	parFig3, err := Fig3(so)
+	parFig16, err := Fig16(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parFig17, err := Fig17(so)
+	parRun, err := RunTable(so)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if render(t, serialFig3) != render(t, parFig3) {
-		t.Error("fig3 differs between -parallel 1 and -parallel 8")
+	if render(t, serialFig16) != render(t, parFig16) {
+		t.Error("fig16 differs between -parallel 1 and -parallel 8")
 	}
-	if render(t, serialFig17) != render(t, parFig17) {
-		t.Error("fig17 differs between -parallel 1 and -parallel 8")
+	if render(t, serialRun) != render(t, parRun) {
+		t.Error("run table differs between -parallel 1 and -parallel 8")
 	}
 
 	co := tinyChar()
@@ -109,7 +110,7 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	o := tinySys()
 	o.Mitigations = []string{"PARA"}
 	o.CacheDir = t.TempDir()
-	cold, err := Fig3(o)
+	cold, err := RunTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("cold run left no cache entries")
 	}
-	warm, err := Fig3(o)
+	warm, err := RunTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestSweepCacheRoundTrip(t *testing.T) {
 	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Fig3(o)
+	again, err := RunTable(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,84 +422,6 @@ func TestTable4Derivation(t *testing.T) {
 	}
 }
 
-func TestFig3Ordering(t *testing.T) {
-	o := tinySys()
-	o.Mitigations = []string{"PARA", "Graphene"}
-	o.NRHs = []int{64}
-	tbl, err := Fig3(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var para, graphene float64 = -1, -1
-	for _, r := range tbl.Rows {
-		if r[0] == "PARA" {
-			para = cellF(t, r, 2)
-		}
-		if r[0] == "Graphene" {
-			graphene = cellF(t, r, 2)
-		}
-	}
-	if para <= graphene {
-		t.Fatalf("PARA busy %.3f%% should exceed Graphene %.3f%%", para, graphene)
-	}
-}
-
-func TestFig17PaCRAMHelpsRFM(t *testing.T) {
-	o := tinySys()
-	o.Mitigations = []string{"RFM"}
-	o.NRHs = []int{64}
-	tbl, err := Fig17(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(cfg string) float64 {
-		for _, r := range tbl.Rows {
-			if r[0] == cfg {
-				return cellF(t, r, 3)
-			}
-		}
-		t.Fatalf("config %s missing", cfg)
-		return 0
-	}
-	noPac := get("NoPaCRAM")
-	pacH := get("PaCRAM-H")
-	pacM := get("PaCRAM-M")
-	if pacH <= noPac {
-		t.Errorf("PaCRAM-H (%.3f) did not beat NoPaCRAM (%.3f)", pacH, noPac)
-	}
-	if pacM <= noPac {
-		t.Errorf("PaCRAM-M (%.3f) did not beat NoPaCRAM (%.3f)", pacM, noPac)
-	}
-	if noPac >= 1.0 {
-		t.Errorf("RFM at NRH=64 should cost performance vs no mitigation (%.3f)", noPac)
-	}
-}
-
-func TestFig18PaCRAMSavesEnergy(t *testing.T) {
-	o := tinySys()
-	o.Mitigations = []string{"PARA"}
-	o.NRHs = []int{64}
-	tbl, err := Fig18(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var noPac, pacH float64 = -1, -1
-	for _, r := range tbl.Rows {
-		if r[0] == "NoPaCRAM" {
-			noPac = cellF(t, r, 3)
-		}
-		if r[0] == "PaCRAM-H" {
-			pacH = cellF(t, r, 3)
-		}
-	}
-	if pacH >= noPac {
-		t.Errorf("PaCRAM-H energy (%.3f) not below NoPaCRAM (%.3f)", pacH, noPac)
-	}
-	if noPac <= 1.0 {
-		t.Errorf("PARA at NRH=64 should cost energy vs no mitigation (%.3f)", noPac)
-	}
-}
-
 func TestFig16Normalization(t *testing.T) {
 	o := tinySys()
 	o.Workloads = []string{"429.mcf"}
@@ -526,32 +449,6 @@ func TestFig16Normalization(t *testing.T) {
 	}
 	if !sawImprovement {
 		t.Fatal("fig16: PaCRAM-H never improved over the anchor")
-	}
-}
-
-func TestFig19RefreshCostGrowsWithDensity(t *testing.T) {
-	o := tinySys()
-	tbl, err := Fig19(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(density, factor string) float64 {
-		for _, r := range tbl.Rows {
-			if r[0] == density && r[1] == factor {
-				return cellF(t, r, 2)
-			}
-		}
-		t.Fatalf("row %s/%s missing", density, factor)
-		return 0
-	}
-	small := get("8", "1.0000")
-	big := get("512", "1.0000")
-	if big >= small {
-		t.Fatalf("refresh cost must grow with density: WS %.3f at 8Gb vs %.3f at 512Gb", small, big)
-	}
-	reduced := get("512", "0.3600")
-	if reduced <= big {
-		t.Fatalf("reduced periodic latency must help at 512Gb: %.3f vs %.3f", reduced, big)
 	}
 }
 

@@ -10,11 +10,12 @@ import (
 	"pacram/internal/mitigation"
 	"pacram/internal/runner"
 	"pacram/internal/sim"
-	"pacram/internal/stats"
 	"pacram/internal/trace"
 )
 
-// SysOptions scales the system-level experiments (Figs. 3, 16-19).
+// SysOptions scales the system-level experiments: Fig. 16 and RunTable
+// here, and Figs. 3 and 17-19, which run as scenario specs rescaled by
+// scenario.FigureSpec.
 // Defaults trade the paper's 62 workloads x 100M instructions for a
 // representative subset at simulator-test scale; raise for fidelity.
 type SysOptions struct {
@@ -98,7 +99,7 @@ func (o SysOptions) specs() ([]trace.Spec, error) {
 // records the cell in the job matrix and returns a placeholder; during
 // the assembly pass it returns the cell's computed (or cached) result.
 type simRun func(key string, workloads []trace.Spec, mech string, nrh int,
-	cfg *pacram.Config, periodic bool) (sim.Result, error)
+	cfg *pacram.Config) (sim.Result, error)
 
 // runnerOptions maps experiment options onto the engine. The
 // fingerprint carries every knob outside the job keys that changes
@@ -130,7 +131,7 @@ func (o SysOptions) runnerOptions(label string) (runner.Options, error) {
 func (o SysOptions) sweep(t *Table, label string, build func(*Table, simRun) error) error {
 	m := runner.NewMatrix[sim.Result]()
 	plan := func(key string, workloads []trace.Spec, mech string, nrh int,
-		cfg *pacram.Config, periodic bool) (sim.Result, error) {
+		cfg *pacram.Config) (sim.Result, error) {
 		w := append([]trace.Spec(nil), workloads...)
 		m.Add(key, func(runner.Ctx) (sim.Result, error) {
 			opt := sim.DefaultOptions(w...)
@@ -140,7 +141,6 @@ func (o SysOptions) sweep(t *Table, label string, build func(*Table, simRun) err
 			opt.Mitigation = mech
 			opt.NRH = nrh
 			opt.PaCRAM = cfg
-			opt.PeriodicExtension = periodic
 			// All cells share the experiment seed: paired cells (a
 			// baseline and its treatments) must see identical random
 			// workload streams for normalization to be meaningful.
@@ -166,7 +166,7 @@ func (o SysOptions) sweep(t *Table, label string, build func(*Table, simRun) err
 		return err
 	}
 	get := func(key string, _ []trace.Spec, _ string, _ int,
-		_ *pacram.Config, _ bool) (sim.Result, error) {
+		_ *pacram.Config) (sim.Result, error) {
 		res, ok := results[key]
 		if !ok {
 			return sim.Result{}, fmt.Errorf("exp: internal: cell %q not planned", key)
@@ -223,41 +223,6 @@ func deriveConfig(moduleID string, factorIdx, nrh int) (*pacram.Config, error) {
 	return &cfg, nil
 }
 
-// Fig3 measures the fraction of execution time banks spend on
-// preventive refreshes, per mechanism per NRH, over 4-core mixes.
-func Fig3(o SysOptions) (*Table, error) {
-	t := &Table{
-		ID:      "fig3",
-		Title:   "Preventive-refresh busy time vs NRH (paper Fig. 3)",
-		Columns: []string{"mechanism", "NRH", "meanPct", "minPct", "maxPct"},
-	}
-	mixes := trace.Mixes()
-	if o.MixCount < len(mixes) {
-		mixes = mixes[:o.MixCount]
-	}
-	err := o.sweep(t, "fig3", func(t *Table, run simRun) error {
-		for _, mech := range o.mitigations() {
-			for _, nrh := range o.NRHs {
-				var fracs []float64
-				for _, mix := range mixes {
-					key := fmt.Sprintf("fig3/%s/%d/%s", mech, nrh, mix.Name)
-					res, err := run(key, mix.Specs[:], mech, nrh, nil, false)
-					if err != nil {
-						return err
-					}
-					fracs = append(fracs, 100*res.PrevRefBusyFraction)
-				}
-				t.AddRow(mech, nrh, stats.Mean(fracs), stats.Min(fracs), stats.Max(fracs))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Fig16 sweeps the preventive-refresh latency for each PaCRAM
 // configuration, mechanism and NRH; IPC is normalized to the same
 // mechanism without PaCRAM (factor 1.0), averaged over the single-core
@@ -282,7 +247,7 @@ func Fig16(o SysOptions) (*Table, error) {
 					base := 0.0
 					for _, spec := range specs {
 						key := fmt.Sprintf("nopac/%s/%d/%s", mech, nrh, spec.Name)
-						res, err := run(key, []trace.Spec{spec}, mech, nrh, nil, false)
+						res, err := run(key, []trace.Spec{spec}, mech, nrh, nil)
 						if err != nil {
 							return err
 						}
@@ -297,7 +262,7 @@ func Fig16(o SysOptions) (*Table, error) {
 						sum := 0.0
 						for _, spec := range specs {
 							key := fmt.Sprintf("fig16/%s/%s/%d/%d/%s", name, mech, nrh, idx, spec.Name)
-							res, err := run(key, []trace.Spec{spec}, mech, nrh, cfg, false)
+							res, err := run(key, []trace.Spec{spec}, mech, nrh, cfg)
 							if err != nil {
 								return err
 							}
@@ -312,221 +277,6 @@ func Fig16(o SysOptions) (*Table, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	return t, nil
-}
-
-// perfRow runs one (mechanism, config) point over single-core
-// workloads and mixes, returning performance normalized to the
-// no-mitigation baseline.
-func perfRow(run simRun, specs []trace.Spec, mixes []trace.Mix, mech string,
-	nrh int, tag string, cfg *pacram.Config) (single, multi float64, energySingle, energyMulti float64, err error) {
-	// Single-core: mean normalized IPC.
-	var ipcs, es []float64
-	for _, spec := range specs {
-		baseKey := fmt.Sprintf("nomitig/%s", spec.Name)
-		base, err := run(baseKey, []trace.Spec{spec}, "None", nrh, nil, false)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		key := fmt.Sprintf("perf/%s/%s/%d/%s", tag, mech, nrh, spec.Name)
-		res, err := run(key, []trace.Spec{spec}, mech, nrh, cfg, false)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		ipcs = append(ipcs, res.IPC[0]/base.IPC[0])
-		es = append(es, res.Energy.Total()/base.Energy.Total())
-	}
-	// Multi-core: weighted speedup vs the no-mitigation mix run.
-	var wss, ems []float64
-	for _, mix := range mixes {
-		baseKey := fmt.Sprintf("nomitig-mix/%s", mix.Name)
-		base, err := run(baseKey, mix.Specs[:], "None", nrh, nil, false)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		key := fmt.Sprintf("perf-mix/%s/%s/%d/%s", tag, mech, nrh, mix.Name)
-		res, err := run(key, mix.Specs[:], mech, nrh, cfg, false)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		// Weighted speedup with the baseline run as the alone IPC:
-		// equals 4.0 for the baseline itself.
-		wss = append(wss, stats.WeightedSpeedup(res.IPC, base.IPC)/float64(len(res.IPC)))
-		ems = append(ems, res.Energy.Total()/base.Energy.Total())
-	}
-	return stats.Mean(ipcs), stats.Mean(wss), stats.Mean(es), stats.Mean(ems), nil
-}
-
-// Fig17 measures system performance (single-core IPC and multi-core
-// weighted speedup) normalized to no mitigation, for each mechanism
-// with and without the three PaCRAM configurations.
-func Fig17(o SysOptions) (*Table, error) {
-	return perfEnergyTable(o, "fig17",
-		"System performance of PaCRAM (paper Fig. 17)",
-		[]string{"config", "mechanism", "NRH", "singleCoreNorm", "multiCoreNorm"},
-		func(t *Table, cfgName, mech string, nrh int, s, m, _, _ float64) {
-			t.AddRow(cfgName, mech, nrh, s, m)
-		})
-}
-
-// Fig18 measures DRAM energy normalized to no mitigation.
-func Fig18(o SysOptions) (*Table, error) {
-	return perfEnergyTable(o, "fig18",
-		"DRAM energy of PaCRAM (paper Fig. 18)",
-		[]string{"config", "mechanism", "NRH", "singleCoreNorm", "multiCoreNorm"},
-		func(t *Table, cfgName, mech string, nrh int, _, _ float64, es, em float64) {
-			t.AddRow(cfgName, mech, nrh, es, em)
-		})
-}
-
-func perfEnergyTable(o SysOptions, id, title string, cols []string,
-	add func(t *Table, cfgName, mech string, nrh int, s, m, es, em float64)) (*Table, error) {
-	t := &Table{ID: id, Title: title, Columns: cols}
-	specs, err := o.specs()
-	if err != nil {
-		return nil, err
-	}
-	mixes := trace.Mixes()
-	if o.MixCount < len(mixes) {
-		mixes = mixes[:o.MixCount]
-	}
-	pc := PaperPaCRAMConfigs()
-
-	err = o.sweep(t, id, func(t *Table, run simRun) error {
-		for _, mech := range o.mitigations() {
-			for _, nrh := range o.NRHs {
-				s, m, es, em, err := perfRow(run, specs, mixes, mech, nrh, "nopac", nil)
-				if err != nil {
-					return err
-				}
-				add(t, "NoPaCRAM", mech, nrh, s, m, es, em)
-				for ci, name := range pc.Names {
-					cfg, err := deriveConfig(pc.Modules[ci], pc.Factors[ci], nrh)
-					if err != nil {
-						return err
-					}
-					s, m, es, em, err := perfRow(run, specs, mixes, mech, nrh, name, cfg)
-					if err != nil {
-						return err
-					}
-					add(t, name, mech, nrh, s, m, es, em)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// periodicScalePolicy reduces periodic-refresh latency by a fixed
-// factor with no mitigation attached (the Appendix B / Fig. 19 sweep).
-type periodicScalePolicy struct {
-	scale float64
-	tras  float64
-}
-
-func (p periodicScalePolicy) VRRHold(int, int, float64) float64 { return p.tras }
-func (p periodicScalePolicy) PeriodicScale(float64) float64     { return p.scale }
-
-// fig19Densities and fig19Factors are the Appendix B sweep axes.
-var (
-	fig19Densities = []int{8, 16, 32, 64, 128, 256, 512}
-	fig19Factors   = []float64{1.00, 0.81, 0.64, 0.45, 0.36, 0.27}
-)
-
-// Fig19 sweeps DRAM chip density and periodic-refresh latency with no
-// RowHammer mitigation, normalizing performance and energy to a
-// refresh-free system (paper Fig. 19 / Appendix B). Its cells need a
-// custom memory configuration and refresh policy, so it plans its job
-// matrix directly instead of going through sweep.
-func Fig19(o SysOptions) (*Table, error) {
-	if o.Channels > 1 {
-		return nil, fmt.Errorf("exp: fig19's periodic-refresh policies are single-channel (got Channels = %d)", o.Channels)
-	}
-	t := &Table{
-		ID:      "fig19",
-		Title:   "Periodic-refresh reduction vs chip density (paper Fig. 19)",
-		Columns: []string{"densityGb", "latencyFactor", "normWS", "normEnergy"},
-	}
-	mixes := trace.Mixes()
-	if len(mixes) > o.MixCount {
-		mixes = mixes[:o.MixCount]
-	}
-	if len(mixes) == 0 {
-		return nil, fmt.Errorf("exp: fig19 needs at least one mix")
-	}
-	mix := mixes[0]
-	tm := sim.SmallMemConfig().Timing
-
-	key := func(density int, latFactor float64, refresh bool) string {
-		return fmt.Sprintf("fig19/%d/%.2f/refresh=%v", density, latFactor, refresh)
-	}
-	m := runner.NewMatrix[sim.Result]()
-	add := func(density int, latFactor float64, refresh bool) {
-		// tRFC grows with density: x1.45 per doubling approximates the
-		// JEDEC progression (195ns at 8Gb, 295ns at 16Gb, 410ns at
-		// 32Gb, extrapolated beyond).
-		scaleRFC := 1.0
-		for d := 8; d < density; d *= 2 {
-			scaleRFC *= 1.45
-		}
-		m.Add(key(density, latFactor, refresh), func(runner.Ctx) (sim.Result, error) {
-			opt := sim.DefaultOptions(mix.Specs[:]...)
-			opt.MemCfg = o.MemCfg()
-			opt.MemCfg.Timing = opt.MemCfg.Timing.ScaleTRFC(scaleRFC)
-			opt.MemCfg.RefreshEnabled = refresh
-			opt.Instructions = o.Instructions
-			opt.Warmup = o.Warmup
-			opt.Seed = o.Seed
-			if refresh && latFactor < 1.0 {
-				// Scale as the restoration portion of tRFC shrinks.
-				ps := (latFactor*tm.TRAS + tm.TRP) / (tm.TRAS + tm.TRP)
-				return sim.RunWithPolicy(opt, periodicScalePolicy{scale: ps, tras: tm.TRAS})
-			}
-			return sim.Run(opt)
-		})
-	}
-
-	for _, density := range fig19Densities {
-		add(density, 1.0, false)
-		for _, f := range fig19Factors {
-			add(density, f, true)
-		}
-	}
-	ropt, err := o.runnerOptions("fig19")
-	if err != nil {
-		return nil, err
-	}
-	results, err := runner.Run(ropt, m.Jobs())
-	if err != nil {
-		return nil, err
-	}
-	lookup := func(k string) (sim.Result, error) {
-		res, ok := results[k]
-		if !ok {
-			return sim.Result{}, fmt.Errorf("exp: internal: cell %q not planned", k)
-		}
-		return res, nil
-	}
-
-	for _, density := range fig19Densities {
-		noRef, err := lookup(key(density, 1.0, false))
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range fig19Factors {
-			res, err := lookup(key(density, f, true))
-			if err != nil {
-				return nil, err
-			}
-			ws := res.SumIPC() / noRef.SumIPC()
-			en := res.Energy.Total() / noRef.Energy.Total()
-			t.AddRow(density, f, ws, en)
-		}
 	}
 	return t, nil
 }
@@ -547,7 +297,7 @@ func RunTable(o SysOptions) (*Table, error) {
 	}
 	err = o.sweep(t, "run", func(t *Table, run simRun) error {
 		for _, spec := range specs {
-			base, err := run("run-base/"+spec.Name, []trace.Spec{spec}, "None", 1024, nil, false)
+			base, err := run("run-base/"+spec.Name, []trace.Spec{spec}, "None", 1024, nil)
 			if err != nil {
 				return err
 			}
@@ -557,7 +307,7 @@ func RunTable(o SysOptions) (*Table, error) {
 			for _, mech := range o.mitigations() {
 				for _, nrh := range o.NRHs {
 					key := fmt.Sprintf("run/%s/%s/%d", spec.Name, mech, nrh)
-					res, err := run(key, []trace.Spec{spec}, mech, nrh, nil, false)
+					res, err := run(key, []trace.Spec{spec}, mech, nrh, nil)
 					if err != nil {
 						return err
 					}

@@ -51,8 +51,9 @@
 // processes sharing a cache directory at worst duplicate work, never
 // corrupt it. A failing store operation (disk full mid-run, an
 // unreachable remote tier) degrades to one warning per failure via
-// Options.Warnf, never to a lost result. The conformance suite in
-// runner/storetest pins these semantics for every backend.
+// Options.OnWarning (or Progress), never to a lost result. The
+// conformance suite in runner/storetest pins these semantics for
+// every backend.
 //
 // The store holds whatever the job returned, so cached and computed
 // results are interchangeable only if job result types marshal to

@@ -34,10 +34,10 @@ type warnCollector struct {
 	lines []string
 }
 
-func (w *warnCollector) warnf(format string, args ...any) {
+func (w *warnCollector) onWarning(warning runner.Warning) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.lines = append(w.lines, fmt.Sprintf(format, args...))
+	w.lines = append(w.lines, warning.Message())
 }
 
 func (w *warnCollector) count(substr string) int {
@@ -74,7 +74,7 @@ func TestFlakyRemoteTierDegradesToComputeWithIdenticalResults(t *testing.T) {
 	store := runner.NewTiered(disk, flaky)
 
 	var w warnCollector
-	opt := runner.Options{Workers: 2, Seed: 9, Fingerprint: "flaky:v1", Store: store, Warnf: w.warnf}
+	opt := runner.Options{Workers: 2, Seed: 9, Fingerprint: "flaky:v1", Store: store, OnWarning: w.onWarning}
 	res, err := runner.Run(opt, flakyJobs(cells))
 	if err != nil {
 		t.Fatalf("degrading tier aborted the run: %v", err)
@@ -118,7 +118,7 @@ func TestFlakyFailureCountsMatchWarningCounts(t *testing.T) {
 
 	var w warnCollector
 	_, err := runner.Run(runner.Options{Workers: 4, Seed: 1, Fingerprint: "flaky:v2",
-		Store: flaky, Warnf: w.warnf}, flakyJobs(8))
+		Store: flaky, OnWarning: w.onWarning}, flakyJobs(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFlakyStorePreservesExactlyOnceCoalescing(t *testing.T) {
 	pool := runner.NewPool[flakyResult](4)
 	pool.TrackComputeCounts()
 	var w warnCollector
-	opt := runner.Options{Seed: 3, Fingerprint: "flaky:v3", Store: store, Warnf: w.warnf}
+	opt := runner.Options{Seed: 3, Fingerprint: "flaky:v3", Store: store, OnWarning: w.onWarning}
 
 	const submissions, cells = 5, 9
 	results := make([]map[string]flakyResult, submissions)

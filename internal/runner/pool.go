@@ -184,21 +184,17 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 	// unreachable remote tier, a corrupt entry) must not discard a
 	// computed result or abort the sweep. Each failing store operation
 	// warns exactly once — naming the cell, and for read failures where
-	// the bad bytes live — and the run continues uncached; the mutex
-	// keeps concurrent warnings from interleaving on a shared writer.
-	// OnWarning gets the structured form; the text surfaces get
-	// Warning.Message, byte-identical to what they always printed.
+	// the bad bytes live — and the run continues uncached. OnWarning
+	// gets the structured form, one call at a time; otherwise Progress
+	// gets Warning.Message, under the progress line's own lock.
 	warn := func(w Warning) {
+		if opt.OnWarning == nil {
+			prog.warn(w.Message())
+			return
+		}
 		warnMu.Lock()
 		defer warnMu.Unlock()
-		switch {
-		case opt.OnWarning != nil:
-			opt.OnWarning(w)
-		case opt.Warnf != nil:
-			opt.Warnf("%s", w.Message())
-		case opt.Progress != nil:
-			fmt.Fprintf(opt.Progress, "\n%s\n", w.Message())
-		}
+		opt.OnWarning(w)
 	}
 	emit := func(ev Event) {
 		ev.Done = int(doneCount.Add(1))

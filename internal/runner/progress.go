@@ -60,6 +60,16 @@ func (p *progress) step(fromCache bool) {
 	fmt.Fprintf(p.w, "\r%-70s", line)
 }
 
+// warn prints a warning on its own line between progress updates.
+func (p *progress) warn(msg string) {
+	if p.w == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fmt.Fprintf(p.w, "\n%s\n", msg)
+}
+
 // finish terminates the progress line after a successful run.
 func (p *progress) finish() {
 	if p.w == nil {

@@ -68,15 +68,11 @@ type Options struct {
 	// called from worker goroutines, possibly concurrently; it must be
 	// safe for concurrent use and return quickly.
 	OnEvent func(Event)
-	// Warnf, when non-nil, receives non-fatal degradation warnings (a
-	// failing result store above all) instead of Progress; a headless
-	// caller like the sweep service points this at its logger so
-	// operators see when exactly-once degrades to recompute.
-	Warnf func(format string, args ...any)
-	// OnWarning, when non-nil, receives the same degradation warnings
-	// in structured form and takes precedence over Warnf and Progress.
-	// Warning.Message renders the exact text Warnf would have seen, so
-	// switching surfaces loses nothing.
+	// OnWarning, when non-nil, receives non-fatal degradation warnings
+	// (a failing result store above all) instead of Progress; a
+	// headless caller like the sweep service points this at its logger
+	// so operators see when exactly-once degrades to recompute.
+	// Warning.Message renders the text Progress would have printed.
 	OnWarning func(Warning)
 	// Trace, when non-nil, records one span tree per cell (the phases:
 	// store-get, pool-wait, compute, store-put, or coalesce-wait under
@@ -107,8 +103,8 @@ type Warning struct {
 	Err error
 }
 
-// Message renders the warning exactly as Options.Warnf receives it,
-// byte-for-byte what the free-text surface always printed.
+// Message renders the warning as one line of text, byte-for-byte what
+// the Progress writer prints.
 func (w Warning) Message() string {
 	switch w.Op {
 	case "get":

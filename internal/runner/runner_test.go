@@ -142,20 +142,20 @@ func TestStoreFailureDegradesToWarning(t *testing.T) {
 		t.Fatalf("missing store warning in %q", buf.String())
 	}
 
-	// A Warnf hook (the sweep service's logger) takes precedence over
-	// Progress, so headless callers see the degradation too.
+	// An OnWarning hook (the sweep service's logger) takes precedence
+	// over Progress, so headless callers see the degradation too.
 	var warned string
 	var mu sync.Mutex
-	_, err = Run(Options{Workers: 2, Seed: 42, Store: store, Warnf: func(format string, args ...any) {
+	_, err = Run(Options{Workers: 2, Seed: 42, Store: store, OnWarning: func(w Warning) {
 		mu.Lock()
-		warned = fmt.Sprintf(format, args...)
+		warned = w.Message()
 		mu.Unlock()
 	}}, testJobs(6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(warned, "cannot cache") {
-		t.Fatalf("Warnf not invoked on store failure: %q", warned)
+		t.Fatalf("OnWarning not invoked on store failure: %q", warned)
 	}
 }
 

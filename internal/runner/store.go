@@ -20,7 +20,7 @@ import (
 //
 // Error semantics are degradation semantics: a Store error never
 // aborts a sweep. Callers recompute the cell and surface the error
-// through Options.Warnf — once per failing operation — so exactly-once
+// through Options.OnWarning — once per failing operation — so exactly-once
 // degrades to duplicated work, never to a lost or wrong result.
 type Store interface {
 	// Get returns the envelope bytes stored under hash. A miss is

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -83,9 +82,9 @@ func TestCorruptEntryWarningNamesCellAndPath(t *testing.T) {
 	var mu sync.Mutex
 	var warnings []string
 	res, err := Run(Options{Workers: 2, Seed: 42, Fingerprint: "corrupt:v1", Store: store,
-		Warnf: func(format string, args ...any) {
+		OnWarning: func(w Warning) {
 			mu.Lock()
-			warnings = append(warnings, fmt.Sprintf(format, args...))
+			warnings = append(warnings, w.Message())
 			mu.Unlock()
 		}}, testJobs(6))
 	if err != nil {

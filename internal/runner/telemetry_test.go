@@ -244,9 +244,9 @@ func TestPoolTraceSpans(t *testing.T) {
 }
 
 // TestOnWarningStructured injects store failures and checks the
-// structured warning surface: OnWarning takes precedence over Warnf,
-// carries cell/op/location fields, and Message() renders the exact
-// legacy text.
+// structured warning surface: OnWarning takes precedence over
+// Progress, carries cell/op/location fields, and Message() renders
+// the exact legacy text.
 func TestOnWarningStructured(t *testing.T) {
 	flaky := &storetest.Flaky{Inner: runner.NewMemStore(0)}
 	flaky.FailGets(-1, errors.New("origin down"))
@@ -254,20 +254,20 @@ func TestOnWarningStructured(t *testing.T) {
 
 	var mu sync.Mutex
 	var warnings []runner.Warning
-	warnfCalled := false
+	var progress strings.Builder
 	opt := runner.Options{Workers: 2, Seed: 3, Fingerprint: "warn:v1", Store: flaky,
 		OnWarning: func(w runner.Warning) {
 			mu.Lock()
 			warnings = append(warnings, w)
 			mu.Unlock()
 		},
-		Warnf: func(format string, args ...any) { warnfCalled = true }}
+		Progress: &progress}
 	const cells = 3
 	if _, err := runner.Run(opt, telemJobs(cells, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if warnfCalled {
-		t.Fatal("Warnf called despite OnWarning being set")
+	if strings.Contains(progress.String(), "warning") {
+		t.Fatalf("Progress got warnings despite OnWarning being set: %q", progress.String())
 	}
 	var gets, puts int
 	for _, w := range warnings {

@@ -10,7 +10,7 @@ import (
 
 // The built-in catalog: scenarios the paper never ran, exercising the
 // spec surface (synthetics, attackers, phased cores, memory axes),
-// plus the fig17 exp-to-scenario bridge.
+// plus the paper's Fig. 17 (see FigureSpec).
 //
 //go:embed catalog/*.json
 var catalogFS embed.FS

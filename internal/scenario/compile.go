@@ -49,10 +49,13 @@ type resolvedCell struct {
 	PaCRAM     *pacram.Config
 	PacKey     *pacramKey
 	Periodic   bool
-	Insts      uint64
-	Warmup     uint64
-	MaxCycles  uint64
-	Seed       uint64
+	// PeriodicFactor is 0 for nominal periodic refresh (a factor of 1
+	// canonicalizes to 0, so it shares the plain cell).
+	PeriodicFactor float64
+	Insts          uint64
+	Warmup         uint64
+	MaxCycles      uint64
+	Seed           uint64
 }
 
 // resolvedCore is one core's workload in canonical form. It doubles as
@@ -85,17 +88,20 @@ type resolvedMember struct {
 // same cell (shared baselines above all) collapse onto one job and one
 // cache entry.
 type jobKey struct {
-	V          int            `json:"v"`
-	Mem        memsys.Config  `json:"mem"`
-	Mitigation string         `json:"mitigation"`
-	NRH        int            `json:"nrh"`
-	PaCRAM     *pacramKey     `json:"pacram,omitempty"`
-	Periodic   bool           `json:"periodic,omitempty"`
-	Insts      uint64         `json:"insts"`
-	Warmup     uint64         `json:"warmup"`
-	MaxCycles  uint64         `json:"maxCycles,omitempty"`
-	Seed       uint64         `json:"seed"`
-	Cores      []resolvedCore `json:"cores"`
+	V          int           `json:"v"`
+	Mem        memsys.Config `json:"mem"`
+	Mitigation string        `json:"mitigation"`
+	NRH        int           `json:"nrh"`
+	PaCRAM     *pacramKey    `json:"pacram,omitempty"`
+	Periodic   bool          `json:"periodic,omitempty"`
+	// PeriodicFactor is omitted at 0, so cells without it keep their
+	// keys.
+	PeriodicFactor float64        `json:"periodicFactor,omitempty"`
+	Insts          uint64         `json:"insts"`
+	Warmup         uint64         `json:"warmup"`
+	MaxCycles      uint64         `json:"maxCycles,omitempty"`
+	Seed           uint64         `json:"seed"`
+	Cores          []resolvedCore `json:"cores"`
 }
 
 // memberCells locates one member's results within a row: its cell job
@@ -293,17 +299,18 @@ func (s *Spec) Compile() (*Plan, error) {
 // key; identical cells are planned once.
 func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (string, error) {
 	key, err := runner.HashKey(mem.name, jobKey{
-		V:          1,
-		Mem:        rc.MemCfg,
-		Mitigation: rc.Mitigation,
-		NRH:        rc.NRH,
-		PaCRAM:     rc.PacKey,
-		Periodic:   rc.Periodic,
-		Insts:      rc.Insts,
-		Warmup:     rc.Warmup,
-		MaxCycles:  rc.MaxCycles,
-		Seed:       rc.Seed,
-		Cores:      mem.cores,
+		V:              1,
+		Mem:            rc.MemCfg,
+		Mitigation:     rc.Mitigation,
+		NRH:            rc.NRH,
+		PaCRAM:         rc.PacKey,
+		Periodic:       rc.Periodic,
+		PeriodicFactor: rc.PeriodicFactor,
+		Insts:          rc.Insts,
+		Warmup:         rc.Warmup,
+		MaxCycles:      rc.MaxCycles,
+		Seed:           rc.Seed,
+		Cores:          mem.cores,
 	})
 	if err != nil {
 		return "", err
@@ -350,7 +357,7 @@ func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (string, error) {
 
 // simOptions assembles the sim.Options for one cell. All-catalog
 // members go through Options.Workloads — the exact path the exp
-// drivers use, so bridged figures reproduce byte-for-byte; members
+// planner uses, so the paper figures reproduce its bytes; members
 // with attacker or phased cores build Options.Generators with the same
 // per-core seed derivation.
 func (rc *resolvedCell) simOptions(cores []resolvedCore) (sim.Options, error) {
@@ -360,6 +367,7 @@ func (rc *resolvedCell) simOptions(cores []resolvedCore) (sim.Options, error) {
 		NRH:               rc.NRH,
 		PaCRAM:            rc.PaCRAM,
 		PeriodicExtension: rc.Periodic,
+		PeriodicFactor:    rc.PeriodicFactor,
 		Instructions:      rc.Insts,
 		Warmup:            rc.Warmup,
 		MaxCycles:         rc.MaxCycles,
@@ -568,6 +576,17 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 	}
 	if rc.Periodic && rc.PaCRAM == nil {
 		return nil, s.errf(path+": periodicExtension", "requires a pacram operating point")
+	}
+	if f := c.cfg.PeriodicFactor; f != 0 {
+		if f < 0 || f > 1 {
+			return nil, s.errf(path+": periodicFactor", "must be in (0, 1], got %g", f)
+		}
+		if rc.PaCRAM != nil {
+			return nil, s.errf(path+": periodicFactor", "cannot be combined with a pacram operating point")
+		}
+		if f < 1 {
+			rc.PeriodicFactor = f
+		}
 	}
 	return rc, nil
 }
@@ -953,6 +972,8 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 		return axisValue{display: display, apply: func(c *cell) { vv := v; c.cfg.PaCRAM = &vv }}, nil
 	case "periodicExtension":
 		return boolVal(func(c *cell, v bool) { c.cfg.PeriodicExtension = v })
+	case "periodicFactor":
+		return floatVal(func(c *cell, v float64) { c.cfg.PeriodicFactor = v })
 	case "instructions":
 		return uintVal(func(c *cell, v uint64) { c.sim.Instructions = v })
 	case "warmup":
@@ -989,7 +1010,7 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 	case "memory.cpuFreqGHz":
 		return floatVal(func(c *cell, v float64) { c.mem.CPUFreqGHz = v })
 	}
-	return axisValue{}, fmt.Errorf("unknown sweep parameter %q (have: mitigation nrh pacram periodicExtension "+
+	return axisValue{}, fmt.Errorf("unknown sweep parameter %q (have: mitigation nrh pacram periodicExtension periodicFactor "+
 		"instructions warmup seed memory.profile memory.channels memory.rows memory.ranks memory.bankGroups "+
 		"memory.banksPerGroup memory.mopWidth memory.blastRadius memory.refreshEnabled memory.trfcScale "+
 		"memory.cpuFreqGHz)", param)

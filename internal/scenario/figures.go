@@ -1,0 +1,112 @@
+package scenario
+
+import (
+	"embed"
+	"encoding/json"
+	"fmt"
+	"io/fs"
+	"sort"
+	"strings"
+
+	"pacram/internal/exp"
+	"pacram/internal/trace"
+)
+
+// The paper's system figures as specs. They stay out of Catalog(),
+// which the sweep service compiles and serves as its scenario list;
+// fig17 predates them there and keeps its catalog entry.
+//
+//go:embed figures/*.json catalog/fig17.json
+var figuresFS embed.FS
+
+// figureFiles maps each figure id to its embedded spec.
+var figureFiles = map[string]string{
+	"fig3":  "figures/fig3.json",
+	"fig17": "catalog/fig17.json",
+	"fig18": "figures/fig18.json",
+	"fig19": "figures/fig19.json",
+}
+
+// figureIDs lists the paper figures FigureSpec knows, sorted.
+func figureIDs() []string {
+	ids := make([]string, 0, len(figureFiles))
+	for id := range figureFiles {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// FigureSpec returns paper figure id ("fig3", "fig17", "fig18" or
+// "fig19") rescaled to o, the options cmd/simulate's flags fill: the
+// sim budgets and seed, the mitigation and nrh axes (when o names
+// any), the "singles" group's workloads (when o names any), the
+// "mixes" group as the first o.MixCount catalog mixes (fig19's "mix"
+// group keeps its one mix, and needs o.MixCount ≥ 1), and the
+// channel and rank counts (when nonzero). Axes and groups a figure
+// lacks are left alone. o's execution knobs (Parallel, CacheDir,
+// StoreURL, Progress) belong to RunOptions.
+func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
+	path, ok := figureFiles[id]
+	if !ok {
+		return nil, fmt.Errorf("scenario: unknown figure %q (have: %s)", id, strings.Join(figureIDs(), " "))
+	}
+	data, err := fs.ReadFile(figuresFS, path)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: reading %s: %w", path, err)
+	}
+	s, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %s: %w", path, err)
+	}
+
+	s.Sim.Instructions, s.Sim.Warmup, s.Sim.Seed = o.Instructions, o.Warmup, o.Seed
+	if o.Channels != 0 || o.Ranks != 0 {
+		if s.Memory == nil {
+			s.Memory = &MemParams{}
+		}
+		s.Memory.Channels, s.Memory.Ranks = o.Channels, o.Ranks
+	}
+	for i := range s.Sweep.Axes { // every figure sweeps
+		ax := &s.Sweep.Axes[i]
+		switch {
+		case ax.Param == "mitigation" && len(o.Mitigations) > 0:
+			ax.Values = rawValues(o.Mitigations)
+		case ax.Param == "nrh" && len(o.NRHs) > 0:
+			ax.Values = rawValues(o.NRHs)
+		}
+	}
+	for i := range s.Workloads {
+		g := &s.Workloads[i]
+		switch g.Name {
+		case "singles":
+			if len(o.Workloads) > 0 {
+				g.Members = g.Members[:0]
+				for _, w := range o.Workloads {
+					g.Members = append(g.Members, Member{Cores: []CoreSpec{{Workload: w}}})
+				}
+			}
+		case "mix": // fig19's single mix: the first catalog mix
+			if o.MixCount < 1 {
+				return nil, fmt.Errorf("scenario: %s needs at least one mix", id)
+			}
+		case "mixes":
+			mixes := trace.Mixes()
+			g.Members = g.Members[:0]
+			for _, m := range mixes[:min(max(o.MixCount, 0), len(mixes))] {
+				g.Members = append(g.Members, Member{Mix: m.Name})
+			}
+		}
+	}
+	return s, nil
+}
+
+// rawValues encodes a list of strings or ints as axis values; neither
+// can fail to marshal.
+func rawValues[T string | int](vs []T) []json.RawMessage {
+	out := make([]json.RawMessage, len(vs))
+	for i, v := range vs {
+		out[i], _ = json.Marshal(v)
+	}
+	return out
+}

@@ -48,12 +48,8 @@ type RunOptions struct {
 	// OnEvent, when non-nil, receives one event per finished cell
 	// (see runner.Event). Must be safe for concurrent use.
 	OnEvent func(runner.Event)
-	// Warnf, when non-nil, receives non-fatal degradation warnings
-	// (see runner.Options.Warnf).
-	Warnf func(format string, args ...any)
-	// OnWarning, when non-nil, receives degradation warnings in
-	// structured form and takes precedence over Warnf (see
-	// runner.Options.OnWarning).
+	// OnWarning, when non-nil, receives non-fatal degradation warnings
+	// in structured form (see runner.Options.OnWarning).
 	OnWarning func(runner.Warning)
 	// Trace, when non-nil, records one span tree per cell into the
 	// writer; TraceID groups the spans (see runner.Options.Trace).
@@ -87,7 +83,6 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 		Store:       opt.Store,
 		Remote:      opt.Remote,
 		OnEvent:     opt.OnEvent,
-		Warnf:       opt.Warnf,
 		OnWarning:   opt.OnWarning,
 		Trace:       opt.Trace,
 		TraceID:     opt.TraceID,
@@ -173,6 +168,9 @@ var metricRegistry = map[string]metric{
 	}},
 	"normReadLat": {true, "average read latency vs baseline", func(r, b *sim.Result) float64 {
 		return r.Stats.AvgReadLatency() / b.Stats.AvgReadLatency()
+	}},
+	"normSumIPC": {true, "total system IPC vs baseline", func(r, b *sim.Result) float64 {
+		return r.SumIPC() / b.SumIPC()
 	}},
 	"sumIPC":  {false, "total system IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() }},
 	"meanIPC": {false, "per-core mean IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() / float64(len(r.IPC)) }},

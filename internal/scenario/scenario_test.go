@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,50 +20,67 @@ func renderTable(t *testing.T, tbl *exp.Table) string {
 	return sb.String()
 }
 
-// TestFig17Bridge is the exp-to-scenario acceptance check at test
-// scale: the built-in fig17 scenario, shrunk the way a user would
-// shrink it (fewer members, fewer axis values, smaller budgets), must
-// reproduce exp.Fig17's table byte-for-byte. The full-scale identity
-// uses the identical code paths with more values.
-func TestFig17Bridge(t *testing.T) {
-	s, err := ByName("fig17")
+// TestFigureGolden pins the paper figures to the bytes the retired
+// exp planners printed: FigureSpec plus Run, at the scale of
+//
+//	simulate -exp fig3,fig17,fig18,fig19 -insts 15000 -warmup 1500 -mixes 1
+//	  -nrh 256,64 -mitigations PARA,RFM -workloads 429.mcf,453.povray
+//
+// must reproduce testdata/figures-tiny.golden, captured from those
+// planners. CI compares the default scale against
+// testdata/figures.golden through cmd/simulate.
+func TestFigureGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/figures-tiny.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Sim.Instructions = 12_000
-	s.Sim.Warmup = 1_200
-	// Shrink: two single-core workloads, one mix, two mechanisms, one
-	// threshold; keep all four PaCRAM configs.
-	s.Workloads[0].Members = s.Workloads[0].Members[:2]
-	s.Workloads[1].Members = s.Workloads[1].Members[:1]
-	s.Sweep.Axes[0].Values = []json.RawMessage{
-		json.RawMessage(`"RFM"`), json.RawMessage(`"PARA"`),
+	o := exp.DefaultSysOptions()
+	o.Instructions, o.Warmup, o.MixCount = 15_000, 1_500, 1
+	o.NRHs = []int{256, 64}
+	o.Mitigations = []string{"PARA", "RFM"}
+	o.Workloads = []string{"429.mcf", "453.povray"}
+	var got strings.Builder
+	for _, id := range []string{"fig3", "fig17", "fig18", "fig19"} {
+		s, err := FigureSpec(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := Run(s, RunOptions{Parallel: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString(renderTable(t, tbl))
 	}
-	s.Sweep.Axes[1].Values = []json.RawMessage{json.RawMessage(`64`)}
+	if got.String() != string(want) {
+		t.Errorf("figures diverge from testdata/figures-tiny.golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
+	}
+}
 
-	got, err := Run(s, RunOptions{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
+// TestFigureSpecsValidate compiles every paper figure at the default
+// scale, checks the figures stay out of the service catalog except
+// fig17, which has always been there, and that fig19 rejects a run
+// with no mix.
+func TestFigureSpecsValidate(t *testing.T) {
+	for _, id := range figureIDs() {
+		s, err := FigureSpec(id, exp.DefaultSysOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("figure %s: %v", id, err)
+		}
+		_, err = ByName(id)
+		if inCatalog := err == nil; inCatalog != (id == "fig17") {
+			t.Errorf("figure %s: in catalog = %v", id, inCatalog)
+		}
 	}
-
-	o := exp.SysOptions{
-		Workloads:    []string{"429.mcf", "470.lbm"},
-		MixCount:     1,
-		Instructions: 12_000,
-		Warmup:       1_200,
-		NRHs:         []int{64},
-		Mitigations:  []string{"RFM", "PARA"},
-		Seed:         0x51317,
-		Parallel:     4,
+	if _, err := FigureSpec("fig16", exp.DefaultSysOptions()); err == nil {
+		t.Error("fig16 is not a figure spec, but FigureSpec accepted it")
 	}
-	want, err := exp.Fig17(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	gotText, wantText := renderTable(t, got), renderTable(t, want)
-	if gotText != wantText {
-		t.Errorf("scenario fig17 diverges from exp.Fig17:\n--- scenario ---\n%s--- exp ---\n%s", gotText, wantText)
+	noMixes := exp.DefaultSysOptions()
+	noMixes.MixCount = 0
+	if _, err := FigureSpec("fig19", noMixes); err == nil {
+		t.Error("fig19 accepted -mixes 0")
 	}
 }
 
@@ -208,6 +226,10 @@ func TestLoaderErrors(t *testing.T) {
 		{"axis column without sweep", `"columns":[{"name":"NRH","axis":"nrh"}]`, `no sweep axis "nrh"`},
 		{"axis column with group", `"sweep":{"axes":[{"param":"nrh","values":[64]}]},"columns":[{"name":"NRH","axis":"nrh","group":"g"}]`,
 			"either axis or group"},
+		{"periodicFactor with pacram", `"config":{"mitigation":"RFM","nrh":64,"pacram":{"module":"S6","factor":0.45},"periodicFactor":0.45}`,
+			"periodicFactor: cannot be combined with a pacram operating point"},
+		{"periodicFactor above one", `"sweep":{"axes":[{"param":"periodicFactor","values":[0.5,1.5]}]}`,
+			"periodicFactor: must be in (0, 1]"},
 		{"swept zero instructions", `"sweep":{"axes":[{"param":"instructions","values":[0,30000]}]}`,
 			"instructions: must be positive"},
 	}

@@ -110,6 +110,11 @@ type CellConfig struct {
 	// PeriodicExtension additionally reduces periodic-refresh latency
 	// (Appendix B).
 	PeriodicExtension bool `json:"periodicExtension,omitempty"`
+	// PeriodicFactor, when set, cuts the restoration portion of every
+	// periodic refresh to this fraction of nominal tRAS, with no
+	// PaCRAM involved (the Appendix B / Fig. 19 sweep; see
+	// sim.Options.PeriodicFactor). Must be in (0, 1]; 1 is nominal.
+	PeriodicFactor float64 `json:"periodicFactor,omitempty"`
 }
 
 // BaselineSpec is the normalization cell configuration.

@@ -67,11 +67,11 @@ func TestCatalogStoreBackendParity(t *testing.T) {
 			for _, b := range backends {
 				t.Run(b.name, func(t *testing.T) {
 					store := b.mk(t)
-					warnf := func(format string, args ...any) {
-						t.Errorf("store degradation during parity run: "+format, args...)
+					onWarning := func(w runner.Warning) {
+						t.Errorf("store degradation during parity run: %s", w.Message())
 					}
 					for _, phase := range []string{"cold", "warm"} {
-						tbl, err := Run(sp, RunOptions{Parallel: 3, Store: store, Warnf: warnf})
+						tbl, err := Run(sp, RunOptions{Parallel: 3, Store: store, OnWarning: onWarning})
 						if err != nil {
 							t.Fatalf("%s run: %v", phase, err)
 						}

@@ -43,10 +43,6 @@ type engine struct {
 	cores    []*cpu.Core
 	ctrl     *memsys.System
 	perCycle bool
-	// multi selects the channel-window leap path (see step). With one
-	// channel a window degenerates to the plain leap, so single-channel
-	// runs keep the exact original code path.
-	multi    bool
 	runnable []bool // per-core runnability, refreshed each step
 	// targets holds each core's next retired-instruction milestone
 	// (the warmup budget, then its measurement finish line). Quiet
@@ -60,12 +56,12 @@ type engine struct {
 }
 
 // step advances simulated time by at least one cycle: it classifies
-// every core via NextEvent, leaps over the provably dead cycles up to
-// the system horizon when everyone is stalled, then ticks. When some
-// core is runnable it first tries a quiet leap (see quietLeap), which
-// replaces the tick. Both leaps are clamped so the maxCycles overrun
-// check still fires on the exact cycle the per-cycle engine would
-// report.
+// every core via NextEvent, leaps over the provably dead cycles in a
+// channel window when everyone is stalled (see windowLeap), then
+// ticks. When some core is runnable it first tries a quiet leap (see
+// quietLeap), which replaces the tick. Both leaps are clamped so the
+// maxCycles overrun check still fires on the exact cycle the
+// per-cycle engine would report.
 //
 // The runnability snapshot is taken once per step. During the core
 // loop a snapshot can only go stale in the safe direction: an earlier
@@ -83,26 +79,7 @@ func (e *engine) step(maxCycles uint64) {
 			anyRunnable = anyRunnable || e.runnable[i]
 		}
 		if !anyRunnable {
-			if e.multi {
-				e.windowLeap(maxCycles)
-			} else if h := e.ctrl.NextEvent(); h > e.ctrl.Cycle()+1 {
-				limit := maxCycles
-				if limit != math.MaxUint64 {
-					limit++ // allow landing on maxCycles+1: the overrun cycle
-				}
-				if target := min(h, limit) - 1; target > e.ctrl.Cycle() {
-					if e.prof != nil {
-						e.prof.leaps++
-						skipped := target - e.ctrl.Cycle()
-						e.prof.leapCycles += skipped
-						e.prof.leapHist.Observe(float64(skipped))
-					}
-					for _, c := range e.cores {
-						c.AdvanceTo(target)
-					}
-					e.ctrl.AdvanceTo(target)
-				}
-			}
+			e.windowLeap(maxCycles)
 		} else if e.quietLeap(maxCycles) {
 			return
 		}
@@ -206,19 +183,23 @@ func (e *engine) quietLeap(maxCycles uint64) bool {
 	return true
 }
 
-// windowLeap is the multi-channel leap: instead of jumping everything
-// to the system horizon (the minimum over channels — which makes every
-// channel pay for every other channel's events), it advances each
-// channel independently to one cycle before the earliest core-visible
-// event, ticking each channel only at its own horizons, in parallel
-// when wide enough (memsys.System.AdvanceWindow). Cores stay provably
-// stalled throughout — the window bound is exactly "the first cycle a
-// core could be woken" — so, like the plain leap, they only need their
-// clocks moved. The maxCycles clamp mirrors the plain leap so the
-// overrun check fires on the identical cycle.
+// windowLeap is the stalled-core leap, at any channel count: instead
+// of jumping everything to the system horizon (the minimum over
+// channels — which makes every channel pay for every other channel's
+// events), it advances each channel independently to one cycle before
+// the earliest core-visible event, ticking each channel only at its
+// own horizons, in parallel when wide enough
+// (memsys.System.AdvanceWindow). Cores stay provably stalled
+// throughout — the window bound is exactly "the first cycle a core
+// could be woken" — so they only need their clocks moved. The leap is
+// clamped to land on maxCycles+1 at most, so the overrun check fires
+// on the cycle the per-cycle engine would report.
 //
 // A window is also a leap for profile accounting: it skips the same
-// engine steps, so Steps + LeapCycles == SimCycles still holds.
+// engine steps, so Steps + LeapCycles == SimCycles still holds. The
+// window counters are kept for multi-channel runs only: on one channel
+// a window is the plain leap to the system horizon, and counting it
+// would only blur the multi-channel cost they measure.
 func (e *engine) windowLeap(maxCycles uint64) {
 	h := e.ctrl.WindowHorizon()
 	if h <= e.ctrl.Cycle()+1 {
@@ -232,21 +213,24 @@ func (e *engine) windowLeap(maxCycles uint64) {
 	if target <= e.ctrl.Cycle() {
 		return
 	}
+	window := e.prof != nil && e.ctrl.NumChannels() > 1
 	var t0 time.Time
 	if e.prof != nil {
 		e.prof.leaps++
 		skipped := target - e.ctrl.Cycle()
 		e.prof.leapCycles += skipped
 		e.prof.leapHist.Observe(float64(skipped))
-		e.prof.windows++
-		e.prof.windowCycles += skipped
-		t0 = time.Now()
+		if window {
+			e.prof.windows++
+			e.prof.windowCycles += skipped
+			t0 = time.Now()
+		}
 	}
 	for _, c := range e.cores {
 		c.AdvanceTo(target)
 	}
 	ws := e.ctrl.AdvanceWindow(target)
-	if e.prof != nil {
+	if window {
 		e.prof.windowNanos += int64(time.Since(t0))
 		e.prof.windowChannelTicks += uint64(ws.ChannelTicks)
 		e.prof.windowChannelsAdvanced += uint64(ws.ChannelsAdvanced)

@@ -34,15 +34,18 @@ type Profile struct {
 	Leaps      uint64                      `json:"leaps"`
 	LeapCycles uint64                      `json:"leapCycles"`
 	LeapHist   telemetry.HistogramSnapshot `json:"leapHist"`
-	// Multi-channel runs leap via channel windows (each channel ticks
-	// only at its own event horizons, optionally on its own goroutine;
-	// see memsys.System.AdvanceWindow). Every window is also counted as
-	// a leap above — it skips the same engine steps — so Windows ≤
-	// Leaps and Steps + LeapCycles == SimCycles still holds.
+	// Stalled-core leaps are channel windows at any channel count
+	// (each channel ticks only at its own event horizons, optionally on
+	// its own goroutine; see memsys.System.AdvanceWindow). On
+	// multi-channel runs every window is counted here and also as a
+	// leap above — it skips the same engine steps — so Windows ≤ Leaps
+	// and Steps + LeapCycles == SimCycles still holds.
 	// WindowChannelTicks counts channel ticks executed inside windows;
 	// WindowChannelsAdvanced sums, over windows, the channels that
 	// ticked at least once; ParallelWindows counts windows fanned out
-	// to per-channel goroutines. All zero on single-channel runs.
+	// to per-channel goroutines. On one channel a window is the plain
+	// leap to the system horizon and is counted as a leap only, so all
+	// of these stay zero.
 	Windows                uint64 `json:"windows,omitempty"`
 	WindowCycles           uint64 `json:"windowCycles,omitempty"`
 	WindowChannelTicks     uint64 `json:"windowChannelTicks,omitempty"`
@@ -65,8 +68,8 @@ type Profile struct {
 	// CoreNanos and CtrlNanos split it between the core tick loop (and
 	// quiet leaps, which only advance cores) and controller ticks (leap
 	// bookkeeping and loop overhead make up the rest). WindowNanos is
-	// the slice spent inside channel windows and MergeNanos, within
-	// that, replaying buffered audit callbacks.
+	// the slice spent inside multi-channel windows and MergeNanos,
+	// within that, replaying buffered audit callbacks.
 	// CyclesPerSecond is SimCycles over WallNanos.
 	WallNanos       int64   `json:"wallNanos"`
 	CoreNanos       int64   `json:"coreNanos"`

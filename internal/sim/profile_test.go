@@ -73,7 +73,8 @@ func TestProfilePassive(t *testing.T) {
 // TestProfileAttribution checks the collected numbers are internally
 // consistent: steps + leapt cycles account for the whole run, the
 // event-horizon engine actually leaps while the per-cycle engine never
-// does, and the per-layer command counts are populated.
+// does, a single-channel run counts no channel windows, and the
+// per-layer command counts are populated.
 func TestProfileAttribution(t *testing.T) {
 	opt := profileOpts(t)
 	opt.Profile = true
@@ -93,6 +94,10 @@ func TestProfileAttribution(t *testing.T) {
 	}
 	if p.LeapHist.Count != int64(p.Leaps) {
 		t.Fatalf("leap histogram count %d != leaps %d", p.LeapHist.Count, p.Leaps)
+	}
+	if p.Windows != 0 || p.WindowCycles != 0 || p.WindowNanos != 0 {
+		t.Fatalf("single-channel run counted channel windows: %d windows, %d cycles, %d ns",
+			p.Windows, p.WindowCycles, p.WindowNanos)
 	}
 	if int64(p.LeapHist.Sum) != int64(p.LeapCycles) {
 		t.Fatalf("leap histogram sum %v != leapCycles %d", p.LeapHist.Sum, p.LeapCycles)

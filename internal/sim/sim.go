@@ -62,9 +62,12 @@ type Options struct {
 	// PeriodicExtension additionally reduces periodic-refresh latency
 	// (Appendix B); requires PaCRAM.
 	PeriodicExtension bool
-	// Policy, when non-nil, overrides the refresh-latency policy
-	// entirely (used by the Fig. 19 periodic-refresh sweep).
-	Policy memsys.RefreshPolicy
+	// PeriodicFactor, when nonzero, runs every periodic refresh with
+	// its restoration portion cut to this fraction of nominal tRAS:
+	// tRFC scales by (f·tRAS+tRP)/(tRAS+tRP) on every channel, while
+	// preventive refreshes stay nominal (the Appendix B / Fig. 19
+	// sweep). Must be in (0, 1]; cannot be combined with PaCRAM.
+	PeriodicFactor float64
 	// Workloads run one per core.
 	Workloads []trace.Spec
 	// Generators, when non-empty, replaces Workloads: one pre-built
@@ -179,11 +182,23 @@ func Run(opt Options) (Result, error) {
 	var policies []memsys.RefreshPolicy
 	var pols []*pacram.Policy
 	switch {
-	case opt.Policy != nil:
-		if geo.Channels != 1 {
-			return Result{}, fmt.Errorf("sim: Options.Policy overrides are single-channel only (got %d channels); use PaCRAM for per-channel policies", geo.Channels)
+	case opt.PeriodicFactor != 0:
+		f := opt.PeriodicFactor
+		if f < 0 || f > 1 {
+			return Result{}, fmt.Errorf("sim: PeriodicFactor %g outside (0, 1]", f)
 		}
-		policies = []memsys.RefreshPolicy{opt.Policy}
+		if opt.PaCRAM != nil {
+			return Result{}, fmt.Errorf("sim: PeriodicFactor cannot be combined with PaCRAM")
+		}
+		t := opt.MemCfg.Timing
+		pol := periodicPolicy{
+			NominalPolicy: memsys.NominalPolicy{TRASNs: t.TRAS},
+			scale:         (f*t.TRAS + t.TRP) / (t.TRAS + t.TRP),
+		}
+		policies = make([]memsys.RefreshPolicy, geo.Channels)
+		for ch := range policies {
+			policies[ch] = pol
+		}
 	case opt.PaCRAM != nil:
 		nrh = opt.PaCRAM.ScaledNRH(opt.NRH)
 		policies = make([]memsys.RefreshPolicy, geo.Channels)
@@ -265,7 +280,6 @@ func Run(opt Options) (Result, error) {
 		cores:    cores,
 		ctrl:     ctrl,
 		perCycle: perCycle,
-		multi:    ctrl.NumChannels() > 1,
 		runnable: make([]bool, len(cores)),
 		targets:  make([]uint64, len(cores)),
 	}
@@ -374,12 +388,16 @@ func WorkloadSeed(base uint64, core int) uint64 {
 	return base + uint64(core)*0x9E37
 }
 
-// RunWithPolicy runs a simulation with an explicit refresh-latency
-// policy (bypassing PaCRAM config derivation).
-func RunWithPolicy(opt Options, policy memsys.RefreshPolicy) (Result, error) {
-	opt.Policy = policy
-	return Run(opt)
+// periodicPolicy is Options.PeriodicFactor's refresh policy: nominal
+// preventive refreshes, every periodic refresh scaled by a constant.
+// It is stateless, so all channels share one value.
+type periodicPolicy struct {
+	memsys.NominalPolicy
+	scale float64
 }
+
+// PeriodicScale implements memsys.RefreshPolicy.
+func (p periodicPolicy) PeriodicScale(float64) float64 { return p.scale }
 
 func allRetired(cores []*cpu.Core, n uint64) bool {
 	for _, c := range cores {

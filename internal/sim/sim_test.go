@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"pacram/internal/chips"
@@ -254,6 +254,54 @@ func TestPeriodicExtensionReducesRefreshBusy(t *testing.T) {
 	}
 }
 
+// TestPeriodicFactor: a factor of 1 is exactly nominal refresh, a
+// reduced factor shrinks refresh busy time on every channel count,
+// and the factor is rejected out of range or alongside PaCRAM.
+func TestPeriodicFactor(t *testing.T) {
+	for _, channels := range []int{1, 2} {
+		base := quickOpts(t, "429.mcf")
+		base.MemCfg.Geometry.Channels = channels
+		nominal, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one := base
+		one.PeriodicFactor = 1
+		same, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(same, nominal) {
+			t.Errorf("%d channels: PeriodicFactor 1 differs from nominal refresh", channels)
+		}
+		cut := base
+		cut.PeriodicFactor = 0.36
+		reduced, err := Run(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reduced.Stats.RefBusy >= nominal.Stats.RefBusy {
+			t.Errorf("%d channels: PeriodicFactor 0.36 did not shrink refresh busy time: %d vs %d",
+				channels, reduced.Stats.RefBusy, nominal.Stats.RefBusy)
+		}
+	}
+
+	mod, _ := chips.ByID("H5")
+	cfg, err := pacram.Derive(mod, 4, 1024, ddr.DDR5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []Options{
+		func() Options { o := quickOpts(t, "429.mcf"); o.PeriodicFactor = 1.5; return o }(),
+		func() Options { o := quickOpts(t, "429.mcf"); o.PeriodicFactor = -0.5; return o }(),
+		func() Options { o := quickOpts(t, "429.mcf"); o.PeriodicFactor = 0.5; o.PaCRAM = &cfg; return o }(),
+	} {
+		if _, err := Run(bad); err == nil {
+			t.Errorf("PeriodicFactor %g (PaCRAM %v) accepted", bad.PeriodicFactor, bad.PaCRAM != nil)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Options{}); err == nil {
 		t.Fatal("empty options accepted")
@@ -480,21 +528,6 @@ func TestMultiChannelEndToEnd(t *testing.T) {
 	// Doubling memory bandwidth must not hurt a four-core workload.
 	if dual.SumIPC() < single.SumIPC()*0.99 {
 		t.Fatalf("2 channels slower than 1: SumIPC %.4f vs %.4f", dual.SumIPC(), single.SumIPC())
-	}
-}
-
-// TestPolicyOverrideRejectsMultiChannel: explicit Options.Policy
-// instances carry per-bank state for one channel; Run must reject the
-// combination rather than silently alias state across channels.
-func TestPolicyOverrideRejectsMultiChannel(t *testing.T) {
-	spec, _ := trace.SpecByName("429.mcf")
-	opt := DefaultOptions(spec)
-	opt.MemCfg = SmallMemConfig()
-	opt.MemCfg.Geometry.Channels = 2
-	opt.Instructions = 1_000
-	_, err := RunWithPolicy(opt, memsys.NominalPolicy{TRASNs: 32})
-	if err == nil || !strings.Contains(err.Error(), "single-channel") {
-		t.Fatalf("expected a single-channel policy error, got %v", err)
 	}
 }
 
