@@ -39,17 +39,27 @@ func Catalog() ([]*Spec, error) {
 	return specs, nil
 }
 
-// ByName finds a built-in scenario.
+// ByName finds a built-in scenario. Each lives in catalog/<name>.json,
+// so only that one file is parsed; the full catalog is read only to
+// list the names when there is no such scenario.
 func ByName(name string) (*Spec, error) {
+	if fs.ValidPath(name) && !strings.Contains(name, "/") {
+		if data, err := fs.ReadFile(catalogFS, "catalog/"+name+".json"); err == nil {
+			s, err := Parse(data)
+			if err != nil {
+				return nil, fmt.Errorf("scenario: catalog/%s.json: %w", name, err)
+			}
+			if s.Name == name {
+				return s, nil
+			}
+		}
+	}
 	specs, err := Catalog()
 	if err != nil {
 		return nil, err
 	}
 	names := make([]string, 0, len(specs))
 	for _, s := range specs {
-		if s.Name == name {
-			return s, nil
-		}
 		names = append(names, s.Name)
 	}
 	return nil, fmt.Errorf("scenario: unknown built-in scenario %q (have: %s)", name, strings.Join(names, " "))

@@ -78,30 +78,12 @@ type phaseCore struct {
 }
 
 // resolvedMember is one simulation cell's workload assignment.
+// coresJSON is cores' encoding, written once per member for the job
+// keys of all its cells (see keyEncoder).
 type resolvedMember struct {
-	name  string
-	cores []resolvedCore
-}
-
-// jobKey is the content-addressed identity of one job: hashing the
-// full resolved configuration means sweep points that resolve to the
-// same cell (shared baselines above all) collapse onto one job and one
-// cache entry.
-type jobKey struct {
-	V          int           `json:"v"`
-	Mem        memsys.Config `json:"mem"`
-	Mitigation string        `json:"mitigation"`
-	NRH        int           `json:"nrh"`
-	PaCRAM     *pacramKey    `json:"pacram,omitempty"`
-	Periodic   bool          `json:"periodic,omitempty"`
-	// PeriodicFactor is omitted at 0, so cells without it keep their
-	// keys.
-	PeriodicFactor float64        `json:"periodicFactor,omitempty"`
-	Insts          uint64         `json:"insts"`
-	Warmup         uint64         `json:"warmup"`
-	MaxCycles      uint64         `json:"maxCycles,omitempty"`
-	Seed           uint64         `json:"seed"`
-	Cores          []resolvedCore `json:"cores"`
+	name      string
+	cores     []resolvedCore
+	coresJSON []byte
 }
 
 // memberCells locates one member's results within a row: its cell job
@@ -125,13 +107,14 @@ type Plan struct {
 	matrix   *runner.Matrix[sim.Result]
 	groupIdx map[string]int
 	cells    []Cell
+	keys     keyEncoder
 }
 
 // Cell is one distinct simulation job of a compiled plan, addressable
 // outside the runner: the engine-parity suite uses it to run every
 // catalog cell under both simulation engines.
 type Cell struct {
-	// Key is the content-addressed job key (runner.HashKey).
+	// Key is the content-addressed job key (see keyEncoder).
 	Key   string
 	rc    *resolvedCell
 	cores []resolvedCore
@@ -186,9 +169,13 @@ func (s *Spec) Compile() (*Plan, error) {
 		}
 		groupIdx[g.Name] = gi
 		for mi, m := range g.Members {
-			rm, err := s.resolveMember(fmt.Sprintf("%s.members[%d]", gpath, mi), m)
+			mpath := fmt.Sprintf("%s.members[%d]", gpath, mi)
+			rm, err := s.resolveMember(mpath, m)
 			if err != nil {
 				return nil, err
+			}
+			if rm.coresJSON, err = json.Marshal(rm.cores); err != nil {
+				return nil, s.errf(mpath, "%v", err)
 			}
 			groups[gi] = append(groups[gi], rm)
 		}
@@ -298,20 +285,7 @@ func (s *Spec) Compile() (*Plan, error) {
 // addJob plans one simulation cell, returning its content-addressed
 // key; identical cells are planned once.
 func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (string, error) {
-	key, err := runner.HashKey(mem.name, jobKey{
-		V:              1,
-		Mem:            rc.MemCfg,
-		Mitigation:     rc.Mitigation,
-		NRH:            rc.NRH,
-		PaCRAM:         rc.PacKey,
-		Periodic:       rc.Periodic,
-		PeriodicFactor: rc.PeriodicFactor,
-		Insts:          rc.Insts,
-		Warmup:         rc.Warmup,
-		MaxCycles:      rc.MaxCycles,
-		Seed:           rc.Seed,
-		Cores:          mem.cores,
-	})
+	key, err := p.keys.key(rc, mem)
 	if err != nil {
 		return "", err
 	}

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"io/fs"
 	"os"
 	"strconv"
 	"strings"
@@ -34,14 +35,9 @@ func TestFigureGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := exp.DefaultSysOptions()
-	o.Instructions, o.Warmup, o.MixCount = 15_000, 1_500, 1
-	o.NRHs = []int{256, 64}
-	o.Mitigations = []string{"PARA", "RFM"}
-	o.Workloads = []string{"429.mcf", "453.povray"}
 	var got strings.Builder
 	for _, id := range []string{"fig3", "fig17", "fig18", "fig19"} {
-		s, err := FigureSpec(id, o)
+		s, err := FigureSpec(id, tinySysOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +92,36 @@ func TestCatalogValidates(t *testing.T) {
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			t.Errorf("builtin %s: %v", s.Name, err)
+		}
+	}
+}
+
+// TestCatalogFileNames pins the layout ByName relies on: every
+// catalog file is named after its spec, catalog/<name>.json, and names
+// that are not a plain file stem are unknown.
+func TestCatalogFileNames(t *testing.T) {
+	entries, err := fs.ReadDir(catalogFS, "catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := fs.ReadFile(catalogFS, "catalog/"+e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Parse(data)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if stem := strings.TrimSuffix(e.Name(), ".json"); stem != s.Name {
+			t.Errorf("catalog/%s holds spec %q; ByName needs catalog/%s.json", e.Name(), s.Name, s.Name)
+		}
+	}
+	for _, name := range []string{"", ".", "..", "catalog/fig17", "../catalog/fig17", "fig17.json", "/fig17", "nope"} {
+		_, err := ByName(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown built-in scenario") ||
+			!strings.Contains(err.Error(), "hammer-victim") {
+			t.Errorf("ByName(%q) = %v, want the unknown-scenario error listing the catalog", name, err)
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // exact table/CSV bytes the CLI emits.
 //
 // Two submissions sweeping overlapping axes share work structurally:
-// cells are content-addressed (runner.HashKey over the full resolved
+// cells are content-addressed (a hash of the full resolved
 // configuration), in-flight cells are coalesced across jobs
 // (singleflight on the cell hash), and finished cells land in the
 // shared store — so a cell, baselines above all, is simulated at most

@@ -199,7 +199,9 @@ func (e *engine) quietLeap(maxCycles uint64) bool {
 // engine steps, so Steps + LeapCycles == SimCycles still holds. The
 // window counters are kept for multi-channel runs only: on one channel
 // a window is the plain leap to the system horizon, and counting it
-// would only blur the multi-channel cost they measure.
+// would only blur the multi-channel cost they measure. Its wall time is
+// the controller ticking at its own events, so it is booked as
+// controller time instead.
 func (e *engine) windowLeap(maxCycles uint64) {
 	h := e.ctrl.WindowHorizon()
 	if h <= e.ctrl.Cycle()+1 {
@@ -229,6 +231,9 @@ func (e *engine) windowLeap(maxCycles uint64) {
 	for _, c := range e.cores {
 		c.AdvanceTo(target)
 	}
+	if e.prof != nil && !window {
+		t0 = time.Now()
+	}
 	ws := e.ctrl.AdvanceWindow(target)
 	if window {
 		e.prof.windowNanos += int64(time.Since(t0))
@@ -238,6 +243,8 @@ func (e *engine) windowLeap(maxCycles uint64) {
 		if ws.Parallel {
 			e.prof.parallelWindows++
 		}
+	} else if e.prof != nil {
+		e.prof.ctrlNanos += int64(time.Since(t0))
 	}
 }
 

@@ -66,8 +66,9 @@ type Profile struct {
 	PreventiveRefreshes uint64 `json:"preventiveRefreshes"`
 	// WallNanos is the wall time spent simulating (setup excluded);
 	// CoreNanos and CtrlNanos split it between the core tick loop (and
-	// quiet leaps, which only advance cores) and controller ticks (leap
-	// bookkeeping and loop overhead make up the rest). WindowNanos is
+	// quiet leaps, which only advance cores) and controller ticks (on one
+	// channel, stalled leaps' controller advances too; leap bookkeeping
+	// and loop overhead make up the rest). WindowNanos is
 	// the slice spent inside multi-channel windows and MergeNanos,
 	// within that, replaying buffered audit callbacks.
 	// CyclesPerSecond is SimCycles over WallNanos.
