@@ -60,6 +60,13 @@
 // JSON losslessly (exported fields, no NaN/Inf) — true for all result
 // types in this repository.
 //
+// The memory tier also keeps, beside each entry's bytes, the value
+// GetCell decoded from them after validating them; a later hit on the
+// same bytes reuses it instead of decoding the JSON again. Every such
+// hit returns the same value — its slices included — just as every
+// waiter coalesced onto one computation does, so results must be
+// treated as immutable once Run returns them.
+//
 // # Failure
 //
 // A failing job does not deadlock or abandon the pool: dispatch stops,

@@ -75,9 +75,12 @@ type flight[T any] struct {
 // deduplication still applies to cells whose computations overlap in
 // time.
 //
-// Results handed to coalesced waiters alias the owner's value;
-// callers must treat results as immutable (all result types in this
-// repository are).
+// Results handed to coalesced waiters alias the owner's value, and
+// warm hits on a memory tier alias the value its first hit decoded
+// (see GetCell), across invocations too. Callers must treat results
+// as immutable; table assembly in this repository only reads them,
+// and scenario.TestCatalogStoreBackendParity serves every result twice
+// from a warm store to keep it that way.
 type Pool[T any] struct {
 	slots chan struct{}
 

@@ -148,8 +148,14 @@ func (e *CellError) Unwrap() error { return e.err }
 // plain miss, while backend failures and corrupt entries come back as
 // a *CellError naming the cell — callers recompute either way, so a
 // wrong result is never replayed, but only genuine degradation is
-// worth a warning.
-func GetCell(s Store, hash, fingerprint, key string, out any) (bool, error) {
+// worth a warning. out is written only on a hit.
+//
+// A store that keeps decoded values (the memory tier, see memoizer)
+// gets the value of each validated hit attached to the bytes it was
+// decoded from, and a later hit on those same bytes reuses it without
+// decoding. Such hits share one value: callers treat results as
+// immutable.
+func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error) {
 	data, ok, err := s.Get(hash)
 	if err != nil {
 		return false, &CellError{Cell: key, msg: fmt.Sprintf("cell %s: %v", key, err), err: err}
@@ -157,20 +163,39 @@ func GetCell(s Store, hash, fingerprint, key string, out any) (bool, error) {
 	if !ok {
 		return false, nil
 	}
+	fp := fullFingerprint(fingerprint)
+	ms, _ := s.(memoizer)
+	if ms != nil {
+		if m := ms.memo(hash, data); m != nil {
+			// m holds the key and fingerprint these very bytes carry.
+			if m.key != key || m.fingerprint != fp {
+				return false, nil
+			}
+			if v, ok := m.value.(T); ok {
+				*out = v
+				return true, nil
+			}
+		}
+	}
 	var e entry
 	if json.Unmarshal(data, &e) != nil {
 		loc := locate(s, hash)
 		return false, &CellError{Cell: key, Location: loc,
 			msg: fmt.Sprintf("cell %s: corrupt cache entry%s", key, at(loc))}
 	}
-	if e.Key != key || e.Fingerprint != fullFingerprint(fingerprint) {
+	if e.Key != key || e.Fingerprint != fp {
 		return false, nil
 	}
-	if uerr := json.Unmarshal(e.Result, out); uerr != nil {
+	var v T
+	if uerr := json.Unmarshal(e.Result, &v); uerr != nil {
 		loc := locate(s, hash)
 		return false, &CellError{Cell: key, Location: loc, err: uerr,
 			msg: fmt.Sprintf("cell %s: decoding cached result%s: %v", key, at(loc), uerr)}
 	}
+	if ms != nil {
+		ms.setMemo(hash, data, &cellMemo{key: key, fingerprint: fp, value: v})
+	}
+	*out = v
 	return true, nil
 }
 

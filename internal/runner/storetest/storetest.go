@@ -2,8 +2,8 @@
 // runner.Store implementations: one exported harness that pins the
 // semantics every backend must share — raw byte round-trips, miss
 // semantics, envelope validation above the backend (key, fingerprint
-// and therefore build-hash invalidation), corrupt-entry degradation
-// and concurrency safety — plus an eviction harness for size-bounded
+// and therefore build-hash invalidation), repeat and replaced hits,
+// corrupt-entry degradation and concurrency safety — plus an eviction harness for size-bounded
 // backends and a fault-injecting wrapper for degradation tests.
 //
 // A new backend passes by construction: implement runner.Store, add a
@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,41 @@ func Run(t *testing.T, mk Factory) {
 		}
 		if out != 1234 {
 			t.Fatalf("GetCell loaded %d, want 1234", out)
+		}
+	})
+
+	// A backend may keep decoded values (the memory tier does), so
+	// repeat hits must serve the same result as the first.
+	t.Run("RepeatHitsEqual", func(t *testing.T) {
+		s := mk(t)
+		h := testHash(0)
+		want := map[string][]float64{"ipc": {0.5, 1.25}}
+		if err := runner.PutCell(s, h, "fp:v1", "cell/a", want); err != nil {
+			t.Fatalf("PutCell: %v", err)
+		}
+		for i := 0; i < 3; i++ {
+			var out map[string][]float64
+			hit, err := runner.GetCell(s, h, "fp:v1", "cell/a", &out)
+			if err != nil || !hit || !reflect.DeepEqual(out, want) {
+				t.Fatalf("hit %d = %v (hit=%v err=%v), want %v", i, out, hit, err, want)
+			}
+		}
+	})
+
+	// Replacing an entry must replace what GetCell serves, including
+	// after a hit on the old entry.
+	t.Run("ReplacedEntryDecodedAgain", func(t *testing.T) {
+		s := mk(t)
+		h := testHash(0)
+		for _, want := range []int{1, 2} {
+			if err := runner.PutCell(s, h, "fp:v1", "cell/a", want); err != nil {
+				t.Fatalf("PutCell: %v", err)
+			}
+			var out int
+			hit, err := runner.GetCell(s, h, "fp:v1", "cell/a", &out)
+			if err != nil || !hit || out != want {
+				t.Fatalf("GetCell after Put(%d) = %d (hit=%v err=%v)", want, out, hit, err)
+			}
 		}
 	})
 

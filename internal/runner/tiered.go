@@ -89,6 +89,22 @@ func (t *Tiered) Put(hash string, data []byte) (err error) {
 	return errors.Join(errs...)
 }
 
+// memo and setMemo forward to the first tier (see memoizer): a hit
+// either comes from it or is promoted into it as the same slice, so
+// that is where a decoded value belongs.
+func (t *Tiered) memo(hash string, data []byte) *cellMemo {
+	if m, ok := t.tiers[0].(memoizer); ok {
+		return m.memo(hash, data)
+	}
+	return nil
+}
+
+func (t *Tiered) setMemo(hash string, data []byte, c *cellMemo) {
+	if m, ok := t.tiers[0].(memoizer); ok {
+		m.setMemo(hash, data, c)
+	}
+}
+
 // Locate lists every tier's location for corrupt-entry warnings.
 func (t *Tiered) Locate(hash string) string {
 	parts := make([]string, 0, len(t.tiers))

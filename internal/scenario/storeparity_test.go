@@ -12,8 +12,11 @@ import (
 // for the pluggable result store: every built-in scenario produces
 // identical table and CSV bytes with no store, and with each backend —
 // in-memory, disk, a tiered mem+disk stack, and a remote store backed
-// by a live StoreHandler over HTTP — both cold (computing and storing
-// every cell) and warm (serving every cell from the store).
+// by a live StoreHandler over HTTP — cold (computing and storing every
+// cell) and warm (serving every cell from the store), twice. The memory
+// tier keeps each decoded result and hands the same value to every
+// later hit, so the second warm pass fails if table assembly mutates a
+// result it was served.
 func TestCatalogStoreBackendParity(t *testing.T) {
 	specs, err := Catalog()
 	if err != nil {
@@ -70,7 +73,7 @@ func TestCatalogStoreBackendParity(t *testing.T) {
 					onWarning := func(w runner.Warning) {
 						t.Errorf("store degradation during parity run: %s", w.Message())
 					}
-					for _, phase := range []string{"cold", "warm"} {
+					for _, phase := range []string{"cold", "warm", "second warm"} {
 						tbl, err := Run(sp, RunOptions{Parallel: 3, Store: store, OnWarning: onWarning})
 						if err != nil {
 							t.Fatalf("%s run: %v", phase, err)
