@@ -129,7 +129,7 @@ func BenchmarkFig14Retention(b *testing.B) {
 func BenchmarkFig16LatencySweep(b *testing.B) {
 	o := sysOpts()
 	o.Mitigations = []string{"RFM"}
-	benchTable(b, func() (*exp.Table, error) { return exp.Fig16(o) })
+	benchFigure(b, "fig16", o)
 }
 
 func BenchmarkFig17Performance(b *testing.B) {

@@ -104,10 +104,6 @@ func realMain() error {
 	opt.Warmup = *warmup
 	opt.MixCount = *mixes
 	opt.Seed = *seed
-	opt.Parallel = *parallel
-	opt.CacheDir = *cacheDir
-	opt.StoreURL = *storeURL
-	opt.Progress = progress
 	if *workloads != "" {
 		opt.Workloads = strings.Split(*workloads, ",")
 	}
@@ -139,8 +135,9 @@ func realMain() error {
 	if *expFlag == "all" {
 		ids = experiments
 	}
+	ropt := scenario.RunOptions{Parallel: *parallel, CacheDir: *cacheDir, StoreURL: *storeURL, Progress: progress}
 	for _, id := range ids {
-		tbl, err := runExperiment(strings.TrimSpace(id), opt)
+		tbl, err := runExperiment(strings.TrimSpace(id), opt, ropt)
 		if err != nil {
 			return fmt.Errorf("%s: %v", id, err)
 		}
@@ -156,25 +153,16 @@ func realMain() error {
 	return nil
 }
 
-func runExperiment(id string, opt exp.SysOptions) (*exp.Table, error) {
+func runExperiment(id string, opt exp.SysOptions, ropt scenario.RunOptions) (*exp.Table, error) {
 	switch id {
-	case "fig3", "fig17", "fig18", "fig19":
+	case "fig3", "fig16", "fig17", "fig18", "fig19", "run":
 		s, err := scenario.FigureSpec(id, opt)
 		if err != nil {
 			return nil, err
 		}
-		return scenario.Run(s, scenario.RunOptions{
-			Parallel: opt.Parallel,
-			CacheDir: opt.CacheDir,
-			StoreURL: opt.StoreURL,
-			Progress: opt.Progress,
-		})
-	case "fig16":
-		return exp.Fig16(opt)
+		return scenario.Run(s, ropt)
 	case "area":
 		return exp.AreaReport(), nil
-	case "run":
-		return exp.RunTable(opt)
 	case "takeaways":
 		return exp.Takeaways(exp.DefaultCharOptions(), opt)
 	}

@@ -68,9 +68,9 @@ func (o CharOptions) runnerOptions(label string) (runner.Options, error) {
 type charRun func(m *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error)
 
 // sweep drives a characterization figure builder through the runner in
-// the same two passes as SysOptions.sweep: plan into a scratch table,
-// execute the matrix, assemble into t. Builders must request the same
-// sweep points in both passes (branch on options, not on results).
+// two passes: plan into a scratch table, execute the matrix, assemble
+// into t. Builders must request the same sweep points in both passes
+// (branch on options, not on results).
 func (o CharOptions) sweep(t *Table, label string, build func(*Table, charRun) error) error {
 	m := runner.NewMatrix[characterize.ModuleResult]()
 	plan := func(mod *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error) {

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,95 +49,6 @@ func render(t *testing.T, tbl *Table) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-// TestParallelBitIdentical is the engine's core guarantee at the
-// driver level: running the same figure at 1 and at 8 workers renders
-// byte-identical tables, for both simulation and characterization
-// sweeps.
-func TestParallelBitIdentical(t *testing.T) {
-	so := tinySys()
-	so.Workloads = []string{"429.mcf"}
-	so.Mitigations = []string{"PARA", "RFM"}
-	so.Parallel = 1
-	serialFig16, err := Fig16(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialRun, err := RunTable(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so.Parallel = 8
-	parFig16, err := Fig16(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRun, err := RunTable(so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(t, serialFig16) != render(t, parFig16) {
-		t.Error("fig16 differs between -parallel 1 and -parallel 8")
-	}
-	if render(t, serialRun) != render(t, parRun) {
-		t.Error("run table differs between -parallel 1 and -parallel 8")
-	}
-
-	co := tinyChar()
-	co.Modules = []string{"H5", "S6"}
-	co.Parallel = 1
-	serialFig6, err := Fig6(co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co.Parallel = 8
-	parFig6, err := Fig6(co)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(t, serialFig6) != render(t, parFig6) {
-		t.Error("fig6 differs between -parallel 1 and -parallel 8")
-	}
-}
-
-// TestSweepCacheRoundTrip runs one figure cold and then warm from the
-// same cache directory: the warm run must be served from JSON on disk
-// and render the identical table.
-func TestSweepCacheRoundTrip(t *testing.T) {
-	o := tinySys()
-	o.Mitigations = []string{"PARA"}
-	o.CacheDir = t.TempDir()
-	cold, err := RunTable(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(o.CacheDir, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("cold run left no cache entries")
-	}
-	warm, err := RunTable(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(t, cold) != render(t, warm) {
-		t.Error("cached results render differently")
-	}
-
-	// Corrupt an entry: the warm run must recompute it, not fail.
-	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunTable(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if render(t, cold) != render(t, again) {
-		t.Error("recovery from corrupt cache entry changed results")
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -422,36 +331,6 @@ func TestTable4Derivation(t *testing.T) {
 	}
 }
 
-func TestFig16Normalization(t *testing.T) {
-	o := tinySys()
-	o.Workloads = []string{"429.mcf"}
-	o.Mitigations = []string{"PARA"}
-	o.NRHs = []int{64}
-	tbl, err := Fig16(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every config has the factor-1.0 anchor at exactly 1.0, and
-	// PaCRAM-H's best region exceeds it.
-	sawAnchor, sawImprovement := false, false
-	for _, r := range tbl.Rows {
-		if r[3] == "1.0000" && r[4] == "1.0000" {
-			sawAnchor = true
-		}
-		if r[0] == "PaCRAM-H" && r[3] != "1.0000" {
-			if cellF(t, r, 4) > 1.0 {
-				sawImprovement = true
-			}
-		}
-	}
-	if !sawAnchor {
-		t.Fatal("fig16 missing the factor-1.0 anchor rows")
-	}
-	if !sawImprovement {
-		t.Fatal("fig16: PaCRAM-H never improved over the anchor")
-	}
-}
-
 func TestAreaReport(t *testing.T) {
 	tbl := AreaReport()
 	if len(tbl.Rows) < 5 {
@@ -496,32 +375,6 @@ func TestProfilingTable(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("127 KB/s headline missing: %v", tbl.Rows)
-	}
-}
-
-func TestRunTableDetail(t *testing.T) {
-	o := tinySys()
-	o.Workloads = []string{"470.lbm"}
-	o.Mitigations = []string{"RFM", "PRAC"}
-	o.NRHs = []int{64}
-	tbl, err := RunTable(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 3 { // baseline + 2 mechanisms
-		t.Fatalf("run table has %d rows, want 3", len(tbl.Rows))
-	}
-	var baseIPC, pracIPC float64
-	for _, r := range tbl.Rows {
-		switch r[1] {
-		case "None":
-			baseIPC = cellF(t, r, 3)
-		case "PRAC":
-			pracIPC = cellF(t, r, 3)
-		}
-	}
-	if pracIPC >= baseIPC {
-		t.Fatalf("PRAC timing tax missing in run table: %.4f vs %.4f", pracIPC, baseIPC)
 	}
 }
 

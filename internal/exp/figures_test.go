@@ -1,27 +1,96 @@
 package exp_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"pacram/internal/exp"
 	"pacram/internal/scenario"
 )
 
-// The paper's Figs. 3 and 17-19 run as scenario specs rescaled by
-// SysOptions (scenario.FigureSpec); these tests check the figures'
-// claims at the tiny scale the exp package tests use.
+// The paper's Figs. 3 and 16-19 and the per-workload run table run as
+// scenario specs rescaled by SysOptions (scenario.FigureSpec); these
+// tests check the figures' claims at the tiny scale the exp package
+// tests use.
 
 func figure(t *testing.T, id string, o exp.SysOptions) *exp.Table {
+	t.Helper()
+	return runFigure(t, id, o, scenario.RunOptions{})
+}
+
+func runFigure(t *testing.T, id string, o exp.SysOptions, ropt scenario.RunOptions) *exp.Table {
 	t.Helper()
 	s, err := scenario.FigureSpec(id, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := scenario.Run(s, scenario.RunOptions{Parallel: o.Parallel})
+	tbl, err := scenario.Run(s, ropt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// TestParallelBitIdentical is the engine's core guarantee at the
+// driver level: running the same figure at 1 and at 8 workers renders
+// byte-identical tables, for both simulation and characterization
+// sweeps.
+func TestParallelBitIdentical(t *testing.T) {
+	so := exp.TinySys()
+	so.Workloads = []string{"429.mcf"}
+	so.Mitigations = []string{"PARA", "RFM"}
+	for _, id := range []string{"fig16", "run"} {
+		serial := runFigure(t, id, so, scenario.RunOptions{Parallel: 1})
+		par := runFigure(t, id, so, scenario.RunOptions{Parallel: 8})
+		if exp.Render(t, serial) != exp.Render(t, par) {
+			t.Errorf("%s differs between -parallel 1 and -parallel 8", id)
+		}
+	}
+
+	co := exp.TinyChar()
+	co.Modules = []string{"H5", "S6"}
+	co.Parallel = 1
+	serialFig6, err := exp.Fig6(co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Parallel = 8
+	parFig6, err := exp.Fig6(co)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exp.Render(t, serialFig6) != exp.Render(t, parFig6) {
+		t.Error("fig6 differs between -parallel 1 and -parallel 8")
+	}
+}
+
+// TestSweepCacheRoundTrip runs one figure cold and then warm from the
+// same cache directory: the warm run must be served from JSON on disk
+// and render the identical table.
+func TestSweepCacheRoundTrip(t *testing.T) {
+	o := exp.TinySys()
+	o.Mitigations = []string{"PARA"}
+	ropt := scenario.RunOptions{CacheDir: t.TempDir()}
+	cold := exp.Render(t, runFigure(t, "run", o, ropt))
+	entries, err := filepath.Glob(filepath.Join(ropt.CacheDir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 {
+		t.Fatal("cold run left no cache entries")
+	}
+	if warm := exp.Render(t, runFigure(t, "run", o, ropt)); warm != cold {
+		t.Error("cached results render differently")
+	}
+
+	// Corrupt an entry: the warm run must recompute it, not fail.
+	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if again := exp.Render(t, runFigure(t, "run", o, ropt)); again != cold {
+		t.Error("recovery from corrupt cache entry changed results")
+	}
 }
 
 func TestFig3Ordering(t *testing.T) {
@@ -112,5 +181,55 @@ func TestFig19RefreshCostGrowsWithDensity(t *testing.T) {
 	reduced := get("512", "0.3600")
 	if reduced <= big {
 		t.Fatalf("reduced periodic latency must help at 512Gb: %.3f vs %.3f", reduced, big)
+	}
+}
+
+func TestFig16Normalization(t *testing.T) {
+	o := exp.TinySys()
+	o.Workloads = []string{"429.mcf"}
+	o.Mitigations = []string{"PARA"}
+	o.NRHs = []int{64}
+	tbl := figure(t, "fig16", o)
+	// Every config has the factor-1.0 anchor at exactly 1.0, and
+	// PaCRAM-H's best region exceeds it.
+	sawAnchor, sawImprovement := false, false
+	for _, r := range tbl.Rows {
+		if r[3] == "1.0000" && r[4] == "1.0000" {
+			sawAnchor = true
+		}
+		if r[0] == "PaCRAM-H" && r[3] != "1.0000" {
+			if exp.CellF(t, r, 4) > 1.0 {
+				sawImprovement = true
+			}
+		}
+	}
+	if !sawAnchor {
+		t.Fatal("fig16 missing the factor-1.0 anchor rows")
+	}
+	if !sawImprovement {
+		t.Fatal("fig16: PaCRAM-H never improved over the anchor")
+	}
+}
+
+func TestRunTableDetail(t *testing.T) {
+	o := exp.TinySys()
+	o.Workloads = []string{"470.lbm"}
+	o.Mitigations = []string{"RFM", "PRAC"}
+	o.NRHs = []int{64}
+	tbl := figure(t, "run", o)
+	if len(tbl.Rows) != 3 { // baseline + 2 mechanisms
+		t.Fatalf("run table has %d rows, want 3", len(tbl.Rows))
+	}
+	var baseIPC, pracIPC float64
+	for _, r := range tbl.Rows {
+		switch r[1] {
+		case "None":
+			baseIPC = exp.CellF(t, r, 3)
+		case "PRAC":
+			pracIPC = exp.CellF(t, r, 3)
+		}
+	}
+	if pracIPC >= baseIPC {
+		t.Fatalf("PRAC timing tax missing in run table: %.4f vs %.4f", pracIPC, baseIPC)
 	}
 }

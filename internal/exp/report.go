@@ -1,10 +1,12 @@
-// Package exp contains one driver per table and figure of the paper's
-// evaluation. Each driver runs the corresponding experiment at a
-// configurable scale and renders the same rows/series the paper
-// reports, as aligned text and CSV. The experiment index, with the
-// command and expected runtime per figure, lives in the top-level
-// README.md. Sweep execution (worker pool, caching, progress) is
-// delegated to internal/runner.
+// Package exp holds the paper's device-characterization drivers (one
+// per table and figure of §4-§7), the §8.4 area report, the takeaway
+// checks, and the Table every experiment renders as aligned text and
+// CSV. The system figures (Figs. 3 and 16-19) and the per-workload run
+// table are scenario specs; SysOptions is the scale cmd/simulate's
+// flags give them (see scenario.FigureSpec). The experiment index,
+// with the command and expected runtime per figure, lives in the
+// top-level README.md. Sweep execution (worker pool, caching,
+// progress) is delegated to internal/runner.
 package exp
 
 import (

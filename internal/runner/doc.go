@@ -2,9 +2,9 @@
 // takes a matrix of independent jobs (e.g. mitigation x NRH x PaCRAM
 // config x workload), fans them out over a bounded worker pool, caches
 // completed results in a pluggable result store, and streams progress
-// to the caller. Every sweep driver in internal/exp, the artifact
-// checker and the examples execute their simulation and
-// characterization cells through it.
+// to the caller. Every sweep driver in internal/exp and
+// internal/scenario, the artifact checker and the examples execute
+// their simulation and characterization cells through it.
 //
 // # Determinism
 //

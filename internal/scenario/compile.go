@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,13 +26,26 @@ const defaultSeed = 0x51317
 
 // cell is a sweep point's mutable state before resolution: base spec
 // values with axis overrides applied. memPatch, when set, is a second
-// memory overlay applied after mem (the baseline's pin).
+// memory overlay applied after mem (the baseline's pin). pacModule and
+// pacFactor hold the pacram.module and pacram.factor axes' values; set
+// together, they replace cfg.PaCRAM.
 type cell struct {
-	sim      SimParams
-	mem      MemParams
-	memPatch *MemParams
-	cfg      CellConfig
+	sim       SimParams
+	mem       MemParams
+	memPatch  *MemParams
+	cfg       CellConfig
+	pacModule string
+	pacFactor float64
 }
+
+// maxPlanCells bounds a plan's sweep points × workload members, checked
+// from the axis lengths before any point is built. The largest paper
+// figure at the paper's full scale is Fig. 16: 3 PaCRAM configs × 5
+// mechanisms × 6 thresholds (1K..32) × 7 latency factors = 630 points
+// over 62 single-core workloads, 39,060; the bound admits it with room
+// to spare and rejects a small spec of many short axes before it
+// expands into billions of points.
+const maxPlanCells = 1 << 16
 
 // pacramKey fingerprints a PaCRAM operating point for job keys (the
 // derived pacram.Config contains +Inf fields, which JSON rejects; the
@@ -182,9 +197,31 @@ func (s *Spec) Compile() (*Plan, error) {
 	}
 
 	// Sweep points.
-	points, axisSet, err := s.expandSweep()
+	members := 0
+	for _, g := range groups {
+		members += len(g)
+	}
+	points, axisSet, err := s.expandSweep(members)
 	if err != nil {
 		return nil, err
+	}
+	keep := make(map[string]bool)
+	if s.Baseline != nil {
+		for ki, p := range s.Baseline.Keep {
+			if !axisSet[p] {
+				return nil, s.errf(fmt.Sprintf("baseline.keep[%d]", ki), "no sweep axis %q", p)
+			}
+			keep[p] = true
+		}
+	}
+	perMember := -1
+	if s.Sweep != nil && s.Sweep.PerMember != "" {
+		gi, ok := groupIdx[s.Sweep.PerMember]
+		if !ok {
+			return nil, s.errf("sweep.perMember", "no workload group %q", s.Sweep.PerMember)
+		}
+		perMember = gi
+		axisSet["member"] = true
 	}
 
 	// Columns.
@@ -205,14 +242,22 @@ func (s *Spec) Compile() (*Plan, error) {
 			if !ok {
 				return nil, s.errf(cpath+".metric", "unknown metric %q (have: %s)", col.Metric, metricNames())
 			}
-			if m.needsBase && s.Baseline == nil {
+			if m.kind == normMetric && s.Baseline == nil {
 				return nil, s.errf(cpath+".metric", "%q normalizes against the baseline, but the scenario has none", col.Metric)
 			}
 			if _, ok := groupIdx[col.Group]; !ok {
 				return nil, s.errf(cpath+".group", "no workload group %q", col.Group)
 			}
-			if _, err := aggregate(col.Agg, []float64{1}); err != nil {
+			if _, err := aggregate(col.Agg, []float64{1}, []float64{1}); err != nil {
 				return nil, s.errf(cpath+".agg", "%v", err)
+			}
+			if col.Agg == ratioOfSums {
+				if s.Baseline == nil {
+					return nil, s.errf(cpath+".agg", "%s divides by the baseline's sum, but the scenario has no baseline", ratioOfSums)
+				}
+				if m.kind == normMetric {
+					return nil, s.errf(cpath+".agg", "%s sums a raw metric, and %q is normalized already", ratioOfSums, col.Metric)
+				}
 			}
 		default:
 			return nil, s.errf(cpath, "column needs an axis or a group+metric")
@@ -227,6 +272,9 @@ func (s *Spec) Compile() (*Plan, error) {
 		for _, av := range pt.values {
 			av.apply(&c)
 		}
+		if c.pacModule != "" && c.pacFactor != 1 && !derivable(c.pacModule, c.pacFactor) {
+			continue // a red cell: the module cannot run at this factor
+		}
 		rc, err := s.resolveCell(c, ppath)
 		if err != nil {
 			return nil, err
@@ -235,6 +283,12 @@ func (s *Spec) Compile() (*Plan, error) {
 		if s.Baseline != nil {
 			bc := c
 			bc.cfg = s.Baseline.CellConfig
+			bc.pacModule, bc.pacFactor = "", 0
+			for ai, av := range pt.values {
+				if keep[s.Sweep.Axes[ai].Param] {
+					av.apply(&bc)
+				}
+			}
 			if s.Baseline.Memory != nil {
 				bc.memPatch = s.Baseline.Memory
 			}
@@ -278,6 +332,18 @@ func (s *Spec) Compile() (*Plan, error) {
 			}
 		}
 		plan.rows = append(plan.rows, row)
+	}
+	if perMember >= 0 {
+		rows := make([]rowPlan, 0, len(plan.rows)*len(groups[perMember]))
+		for mi, mem := range groups[perMember] {
+			for _, row := range plan.rows {
+				r := rowPlan{display: maps.Clone(row.display), groups: slices.Clone(row.groups)}
+				r.display["member"] = mem.name
+				r.groups[perMember] = row.groups[perMember][mi : mi+1]
+				rows = append(rows, r)
+			}
+		}
+		plan.rows = rows
 	}
 	return plan, nil
 }
@@ -522,6 +588,16 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 		return nil, s.errf(path+": nrh", "mechanism %s needs nrh >= 1, got %d", mech, c.cfg.NRH)
 	}
 
+	ps := c.cfg.PaCRAM
+	if c.pacModule != "" || c.pacFactor != 0 {
+		if c.pacModule == "" || c.pacFactor == 0 {
+			return nil, s.errf(path+": pacram", "pacram.module and pacram.factor must be swept together")
+		}
+		ps = nil // factor 1.0 is nominal: no PaCRAM
+		if c.pacFactor != 1 {
+			ps = &PaCRAMSpec{Module: c.pacModule, Factor: c.pacFactor}
+		}
+	}
 	rc := &resolvedCell{
 		MemCfg:     mem,
 		Mitigation: mech,
@@ -532,7 +608,7 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 		MaxCycles:  c.sim.MaxCycles,
 		Seed:       c.sim.Seed,
 	}
-	if ps := c.cfg.PaCRAM; ps != nil {
+	if ps != nil {
 		idx, err := factorIndex(ps.Factor)
 		if err != nil {
 			return nil, s.errf(path+": pacram.factor", "%v", err)
@@ -563,6 +639,16 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 		}
 	}
 	return rc, nil
+}
+
+// derivable reports whether a module can run PaCRAM at a factor: false
+// for Table 4's red cells, which pacram.Derive rejects. Both values
+// were validated when their axes were parsed.
+func derivable(module string, factor float64) bool {
+	m, _ := chips.ByID(module)
+	idx, _ := factorIndex(factor)
+	_, err := pacram.Derive(m, idx, 1, sim.SmallMemConfig().Timing)
+	return err == nil
 }
 
 // factorIndex maps a restoration-latency factor back to its index in
@@ -790,22 +876,25 @@ type point struct {
 
 // expandSweep parses the axes and expands them into points (one output
 // row each). Product mode crosses all axes with the rightmost axis
-// fastest; zip mode advances all axes in lockstep.
-func (s *Spec) expandSweep() ([]point, map[string]bool, error) {
+// fastest; zip mode advances all axes in lockstep. The point count,
+// times the spec's members, is checked against maxPlanCells before
+// any point is built.
+func (s *Spec) expandSweep(members int) ([]point, map[string]bool, error) {
 	axisSet := make(map[string]bool)
-	if s.Sweep == nil || len(s.Sweep.Axes) == 0 {
-		return []point{{display: map[string]any{}}}, axisSet, nil
-	}
-	mode := s.Sweep.Mode
-	if mode == "" {
-		mode = "product"
-	}
-	if mode != "product" && mode != "zip" {
-		return nil, nil, s.errf("sweep.mode", "must be \"product\" or \"zip\", got %q", mode)
+	var axes []Axis
+	mode := "product"
+	if s.Sweep != nil && len(s.Sweep.Axes) > 0 {
+		axes = s.Sweep.Axes
+		if s.Sweep.Mode != "" {
+			mode = s.Sweep.Mode
+		}
+		if mode != "product" && mode != "zip" {
+			return nil, nil, s.errf("sweep.mode", "must be \"product\" or \"zip\", got %q", mode)
+		}
 	}
 
-	parsed := make([][]axisValue, len(s.Sweep.Axes))
-	for ai, ax := range s.Sweep.Axes {
+	parsed := make([][]axisValue, len(axes))
+	for ai, ax := range axes {
 		apath := fmt.Sprintf("sweep.axes[%d]", ai)
 		if ax.Param == "" {
 			return nil, nil, s.errf(apath+".param", "missing axis parameter")
@@ -831,22 +920,43 @@ func (s *Spec) expandSweep() ([]point, map[string]bool, error) {
 			parsed[ai] = append(parsed[ai], av)
 		}
 	}
+	if axisSet["pacram"] && (axisSet["pacram.module"] || axisSet["pacram.factor"]) {
+		return nil, nil, s.errf("sweep.axes", "sweep either pacram or pacram.module and pacram.factor, not both")
+	}
 
-	var points []point
+	// Count the points, saturating past the bound so no product of
+	// axis lengths can overflow.
+	n, product := 1, "1"
 	if mode == "zip" {
-		n := len(parsed[0])
+		n = len(parsed[0])
 		for ai, vs := range parsed {
 			if len(vs) != n {
 				return nil, nil, s.errf(fmt.Sprintf("sweep.axes[%d].values", ai),
 					"zip mode needs equal lengths: axis %q has %d values, axis %q has %d",
-					s.Sweep.Axes[ai].Param, len(vs), s.Sweep.Axes[0].Param, n)
+					axes[ai].Param, len(vs), axes[0].Param, n)
 			}
 		}
+		product = fmt.Sprint(n)
+	} else if len(parsed) > 0 {
+		lens := make([]string, len(parsed))
+		for ai, vs := range parsed {
+			n = min(n*len(vs), maxPlanCells+1)
+			lens[ai] = fmt.Sprint(len(vs))
+		}
+		product = strings.Join(lens, " × ")
+	}
+	if n > maxPlanCells/members {
+		return nil, nil, s.errf("sweep", "%s points × %d members is over the plan bound of %d cells",
+			product, members, maxPlanCells)
+	}
+
+	points := make([]point, 0, n)
+	if mode == "zip" {
 		for i := 0; i < n; i++ {
 			pt := point{display: make(map[string]any)}
 			for ai, vs := range parsed {
 				pt.values = append(pt.values, vs[i])
-				pt.display[s.Sweep.Axes[ai].Param] = vs[i].display
+				pt.display[axes[ai].Param] = vs[i].display
 			}
 			points = append(points, pt)
 		}
@@ -859,7 +969,7 @@ func (s *Spec) expandSweep() ([]point, map[string]bool, error) {
 		pt := point{display: make(map[string]any)}
 		for ai, vs := range parsed {
 			pt.values = append(pt.values, vs[idx[ai]])
-			pt.display[s.Sweep.Axes[ai].Param] = vs[idx[ai]].display
+			pt.display[axes[ai].Param] = vs[idx[ai]].display
 		}
 		points = append(points, pt)
 		ai := len(parsed) - 1
@@ -944,6 +1054,24 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 			display = fmt.Sprintf("%s@%.2f", v.Module, v.Factor)
 		}
 		return axisValue{display: display, apply: func(c *cell) { vv := v; c.cfg.PaCRAM = &vv }}, nil
+	case "pacram.module":
+		var v string
+		if err := strict(&v); err != nil {
+			return axisValue{}, err
+		}
+		if _, err := chips.ByID(v); err != nil {
+			return axisValue{}, err
+		}
+		return axisValue{display: v, apply: func(c *cell) { c.pacModule = v }}, nil
+	case "pacram.factor":
+		var v float64
+		if err := strict(&v); err != nil {
+			return axisValue{}, err
+		}
+		if _, err := factorIndex(v); err != nil {
+			return axisValue{}, err
+		}
+		return axisValue{display: v, apply: func(c *cell) { c.pacFactor = v }}, nil
 	case "periodicExtension":
 		return boolVal(func(c *cell, v bool) { c.cfg.PeriodicExtension = v })
 	case "periodicFactor":
@@ -984,7 +1112,8 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 	case "memory.cpuFreqGHz":
 		return floatVal(func(c *cell, v float64) { c.mem.CPUFreqGHz = v })
 	}
-	return axisValue{}, fmt.Errorf("unknown sweep parameter %q (have: mitigation nrh pacram periodicExtension periodicFactor "+
+	return axisValue{}, fmt.Errorf("unknown sweep parameter %q (have: mitigation nrh pacram pacram.module pacram.factor "+
+		"periodicExtension periodicFactor "+
 		"instructions warmup seed memory.profile memory.channels memory.rows memory.ranks memory.bankGroups "+
 		"memory.banksPerGroup memory.mopWidth memory.blastRadius memory.refreshEnabled memory.trfcScale "+
 		"memory.cpuFreqGHz)", param)

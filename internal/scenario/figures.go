@@ -9,12 +9,14 @@ import (
 	"strings"
 
 	"pacram/internal/exp"
+	"pacram/internal/mitigation"
 	"pacram/internal/trace"
 )
 
-// The paper's system figures as specs. They stay out of Catalog(),
-// which the sweep service compiles and serves as its scenario list;
-// fig17 predates them there and keeps its catalog entry.
+// The paper's system figures, and cmd/simulate's per-workload run
+// table, as specs. They stay out of Catalog(), which the sweep service
+// compiles and serves as its scenario list; fig17 predates them there
+// and keeps its catalog entry.
 //
 //go:embed figures/*.json catalog/fig17.json
 var figuresFS embed.FS
@@ -22,9 +24,11 @@ var figuresFS embed.FS
 // figureFiles maps each figure id to its embedded spec.
 var figureFiles = map[string]string{
 	"fig3":  "figures/fig3.json",
+	"fig16": "figures/fig16.json",
 	"fig17": "catalog/fig17.json",
 	"fig18": "figures/fig18.json",
 	"fig19": "figures/fig19.json",
+	"run":   "figures/run.json",
 }
 
 // figureIDs lists the paper figures FigureSpec knows, sorted.
@@ -37,15 +41,18 @@ func figureIDs() []string {
 	return ids
 }
 
-// FigureSpec returns paper figure id ("fig3", "fig17", "fig18" or
-// "fig19") rescaled to o, the options cmd/simulate's flags fill: the
-// sim budgets and seed, the mitigation and nrh axes (when o names
-// any), the "singles" group's workloads (when o names any), the
-// "mixes" group as the first o.MixCount catalog mixes (fig19's "mix"
-// group keeps its one mix, and needs o.MixCount ≥ 1), and the
-// channel and rank counts (when nonzero). Axes and groups a figure
-// lacks are left alone. o's execution knobs (Parallel, CacheDir,
-// StoreURL, Progress) belong to RunOptions.
+// FigureSpec returns paper figure id ("fig3", "fig16", "fig17",
+// "fig18", "fig19", or "run", the per-workload detail table) rescaled
+// to o, the options cmd/simulate's flags fill: the sim budgets and
+// seed, the mitigation and nrh axes (when o names any), the "singles"
+// group's workloads (when o names any), the "mixes" group as the first
+// o.MixCount catalog mixes (fig19's "mix" group keeps its one mix, and
+// needs o.MixCount ≥ 1), and the channel and rank counts (when
+// nonzero). Axes and groups a figure lacks are left alone. run zips
+// its mitigation and nrh axes into pairs: its first, unprotected pair
+// stays, and the rest are rebuilt as every mechanism × NRH when o
+// names either. How the spec executes (workers, cache, progress) is
+// the caller's RunOptions.
 func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
 	path, ok := figureFiles[id]
 	if !ok {
@@ -67,13 +74,17 @@ func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
 		}
 		s.Memory.Channels, s.Memory.Ranks = o.Channels, o.Ranks
 	}
-	for i := range s.Sweep.Axes { // every figure sweeps
-		ax := &s.Sweep.Axes[i]
-		switch {
-		case ax.Param == "mitigation" && len(o.Mitigations) > 0:
-			ax.Values = rawValues(o.Mitigations)
-		case ax.Param == "nrh" && len(o.NRHs) > 0:
-			ax.Values = rawValues(o.NRHs)
+	if s.Sweep.Mode == "zip" { // run
+		rezip(s.Sweep, o)
+	} else {
+		for i := range s.Sweep.Axes { // every figure sweeps
+			ax := &s.Sweep.Axes[i]
+			switch {
+			case ax.Param == "mitigation" && len(o.Mitigations) > 0:
+				ax.Values = rawValues(o.Mitigations)
+			case ax.Param == "nrh" && len(o.NRHs) > 0:
+				ax.Values = rawValues(o.NRHs)
+			}
 		}
 	}
 	for i := range s.Workloads {
@@ -99,6 +110,41 @@ func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
 		}
 	}
 	return s, nil
+}
+
+// rezip rebuilds run's zipped mitigation and nrh axes when o names
+// mechanisms or thresholds: the first pair (the unprotected row)
+// stays, then one pair per mechanism × NRH, mechanism outermost. An
+// unnamed side defaults to all five mechanisms or the default
+// thresholds. Labeled axes label each new value with itself.
+func rezip(sw *Sweep, o exp.SysOptions) {
+	mechs, nrhs := o.Mitigations, o.NRHs
+	if len(mechs) == 0 && len(nrhs) == 0 {
+		return
+	}
+	if len(mechs) == 0 {
+		mechs = mitigation.AllNames()
+	}
+	if len(nrhs) == 0 {
+		nrhs = exp.DefaultSysOptions().NRHs
+	}
+	for i := range sw.Axes {
+		ax := &sw.Axes[i]
+		ax.Values, ax.Labels = ax.Values[:1], ax.Labels[:min(len(ax.Labels), 1)]
+		for _, m := range mechs {
+			for _, n := range nrhs {
+				var v any = m
+				if ax.Param == "nrh" {
+					v = n
+				}
+				raw, _ := json.Marshal(v) // a string or an int
+				ax.Values = append(ax.Values, raw)
+				if ax.Labels != nil {
+					ax.Labels = append(ax.Labels, fmt.Sprint(v))
+				}
+			}
+		}
+	}
 }
 
 // rawValues encodes a list of strings or ints as axis values; neither

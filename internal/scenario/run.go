@@ -121,7 +121,9 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 				cells = append(cells, row.display[col.Axis])
 				continue
 			}
+			m := metricRegistry[col.Metric]
 			vals := make([]float64, 0, len(row.groups[p.groupIdx[col.Group]]))
+			var bases []float64 // the baselines' own values, for ratioOfSums
 			for _, mc := range row.groups[p.groupIdx[col.Group]] {
 				res, ok := results[mc.key]
 				if !ok {
@@ -135,11 +137,18 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 					}
 					base = &b
 				}
-				vals = append(vals, metricRegistry[col.Metric].eval(&res, base))
+				vals = append(vals, m.eval(&res, base))
+				if col.Agg == ratioOfSums {
+					bases = append(bases, m.eval(base, nil))
+				}
 			}
-			v, err := aggregate(col.Agg, vals)
+			v, err := aggregate(col.Agg, vals, bases)
 			if err != nil {
 				return nil, err // unreachable: validated at compile time
+			}
+			if m.kind == countMetric && col.Agg != ratioOfSums && v == math.Trunc(v) && !math.IsInf(v, 0) {
+				cells = append(cells, int64(v))
+				continue
 			}
 			cells = append(cells, v)
 		}
@@ -148,49 +157,59 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 	return t, nil
 }
 
-// metric is one per-member measurement; needsBase metrics divide by
-// the scenario baseline cell.
+// metricKind classifies a metric: a raw per-member value, one divided
+// by the member's baseline cell, or an event count (raw, and printed
+// as an integer when the aggregate is one).
+type metricKind int
+
+const (
+	rawMetric metricKind = iota
+	normMetric
+	countMetric
+)
+
+// metric is one per-member measurement.
 type metric struct {
-	needsBase bool
-	doc       string
-	eval      func(res, base *sim.Result) float64
+	kind metricKind
+	doc  string
+	eval func(res, base *sim.Result) float64
 }
 
 // metricRegistry is the per-member metric surface. normWS equals
 // plain normalized IPC for single-core members and per-core weighted
 // speedup for mixes — the figure drivers' convention.
 var metricRegistry = map[string]metric{
-	"normWS": {true, "weighted speedup vs baseline / cores", func(r, b *sim.Result) float64 {
+	"normWS": {normMetric, "weighted speedup vs baseline / cores", func(r, b *sim.Result) float64 {
 		return stats.WeightedSpeedup(r.IPC, b.IPC) / float64(len(r.IPC))
 	}},
-	"normEnergy": {true, "DRAM energy vs baseline", func(r, b *sim.Result) float64 {
+	"normEnergy": {normMetric, "DRAM energy vs baseline", func(r, b *sim.Result) float64 {
 		return r.Energy.Total() / b.Energy.Total()
 	}},
-	"normReadLat": {true, "average read latency vs baseline", func(r, b *sim.Result) float64 {
+	"normReadLat": {normMetric, "average read latency vs baseline", func(r, b *sim.Result) float64 {
 		return r.Stats.AvgReadLatency() / b.Stats.AvgReadLatency()
 	}},
-	"normSumIPC": {true, "total system IPC vs baseline", func(r, b *sim.Result) float64 {
+	"normSumIPC": {normMetric, "total system IPC vs baseline", func(r, b *sim.Result) float64 {
 		return r.SumIPC() / b.SumIPC()
 	}},
-	"sumIPC":  {false, "total system IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() }},
-	"meanIPC": {false, "per-core mean IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() / float64(len(r.IPC)) }},
-	"energyUJ": {false, "DRAM energy in microjoules", func(r, _ *sim.Result) float64 {
+	"sumIPC":  {rawMetric, "total system IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() }},
+	"meanIPC": {rawMetric, "per-core mean IPC", func(r, _ *sim.Result) float64 { return r.SumIPC() / float64(len(r.IPC)) }},
+	"energyUJ": {rawMetric, "DRAM energy in microjoules", func(r, _ *sim.Result) float64 {
 		return r.Energy.Total() * 1e6
 	}},
-	"prevRefBusyPct": {false, "bank time in preventive refresh, percent", func(r, _ *sim.Result) float64 {
+	"prevRefBusyPct": {rawMetric, "bank time in preventive refresh, percent", func(r, _ *sim.Result) float64 {
 		return 100 * r.PrevRefBusyFraction
 	}},
-	"partialPct": {false, "preventive refreshes at reduced latency, percent", func(r, _ *sim.Result) float64 {
+	"partialPct": {rawMetric, "preventive refreshes at reduced latency, percent", func(r, _ *sim.Result) float64 {
 		return 100 * r.PartialFraction
 	}},
-	"avgReadLat": {false, "average read latency in cycles", func(r, _ *sim.Result) float64 {
+	"avgReadLat": {rawMetric, "average read latency in cycles", func(r, _ *sim.Result) float64 {
 		return r.Stats.AvgReadLatency()
 	}},
-	"acts":      {false, "row activations", func(r, _ *sim.Result) float64 { return float64(r.Stats.Acts) }},
-	"vrrs":      {false, "preventive (victim-row) refreshes", func(r, _ *sim.Result) float64 { return float64(r.Stats.VRRs) }},
-	"rfms":      {false, "refresh-management commands", func(r, _ *sim.Result) float64 { return float64(r.Stats.RFMs) }},
-	"refs":      {false, "periodic refreshes", func(r, _ *sim.Result) float64 { return float64(r.Stats.Refs) }},
-	"scaledNRH": {false, "threshold the mechanism ran with", func(r, _ *sim.Result) float64 { return float64(r.ScaledNRH) }},
+	"acts":      {countMetric, "row activations", func(r, _ *sim.Result) float64 { return float64(r.Stats.Acts) }},
+	"vrrs":      {countMetric, "preventive (victim-row) refreshes", func(r, _ *sim.Result) float64 { return float64(r.Stats.VRRs) }},
+	"rfms":      {countMetric, "refresh-management commands", func(r, _ *sim.Result) float64 { return float64(r.Stats.RFMs) }},
+	"refs":      {countMetric, "periodic refreshes", func(r, _ *sim.Result) float64 { return float64(r.Stats.Refs) }},
+	"scaledNRH": {countMetric, "threshold the mechanism ran with", func(r, _ *sim.Result) float64 { return float64(r.ScaledNRH) }},
 }
 
 // metricNames lists the registry for error messages, sorted.
@@ -217,8 +236,13 @@ func MetricDocs() []string {
 	return out
 }
 
-// aggregate folds per-member values into one cell.
-func aggregate(agg string, vals []float64) (float64, error) {
+// ratioOfSums is the aggregation that divides the members' summed
+// metric by their baselines' sum (Fig. 16's normalized IPC).
+const ratioOfSums = "ratioOfSums"
+
+// aggregate folds per-member values into one cell; bases are the
+// members' baseline values, which only ratioOfSums reads.
+func aggregate(agg string, vals, bases []float64) (float64, error) {
 	switch agg {
 	case "", "mean":
 		return stats.Mean(vals), nil
@@ -229,11 +253,18 @@ func aggregate(agg string, vals []float64) (float64, error) {
 	case "geomean":
 		return stats.Geomean(vals), nil
 	case "sum":
-		s := 0.0
-		for _, v := range vals {
-			s += v
-		}
-		return s, nil
+		return sum(vals), nil
+	case ratioOfSums:
+		return sum(vals) / sum(bases), nil
 	}
-	return math.NaN(), fmt.Errorf("unknown aggregation %q (have: mean min max sum geomean)", agg)
+	return math.NaN(), fmt.Errorf("unknown aggregation %q (have: mean min max sum geomean %s)", agg, ratioOfSums)
+}
+
+// sum adds vals in order.
+func sum(vals []float64) float64 {
+	s := 0.0
+	for _, v := range vals {
+		s += v
+	}
+	return s
 }

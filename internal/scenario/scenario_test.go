@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"io/fs"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"pacram/internal/exp"
+	"pacram/internal/trace"
 )
 
 // renderTable gives the byte-exact text a table prints as.
@@ -24,8 +26,8 @@ func renderTable(t *testing.T, tbl *exp.Table) string {
 // TestFigureGolden pins the paper figures to the bytes the retired
 // exp planners printed: FigureSpec plus Run, at the scale of
 //
-//	simulate -exp fig3,fig17,fig18,fig19 -insts 15000 -warmup 1500 -mixes 1
-//	  -nrh 256,64 -mitigations PARA,RFM -workloads 429.mcf,453.povray
+//	simulate -exp fig3,fig16,fig17,fig18,fig19,run -insts 15000 -warmup 1500
+//	  -mixes 1 -nrh 256,64 -mitigations PARA,RFM -workloads 429.mcf,453.povray
 //
 // must reproduce testdata/figures-tiny.golden, captured from those
 // planners. CI compares the default scale against
@@ -36,7 +38,7 @@ func TestFigureGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got strings.Builder
-	for _, id := range []string{"fig3", "fig17", "fig18", "fig19"} {
+	for _, id := range []string{"fig3", "fig16", "fig17", "fig18", "fig19", "run"} {
 		s, err := FigureSpec(id, tinySysOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -54,10 +56,14 @@ func TestFigureGolden(t *testing.T) {
 
 // TestFigureSpecsValidate compiles every paper figure at the default
 // scale, checks the figures stay out of the service catalog except
-// fig17, which has always been there, and that fig19 rejects a run
-// with no mix.
+// fig17, which has always been there, that an unknown id is rejected,
+// and that fig19 rejects a run with no mix.
 func TestFigureSpecsValidate(t *testing.T) {
-	for _, id := range figureIDs() {
+	ids := figureIDs()
+	if !slices.Contains(ids, "fig16") || !slices.Contains(ids, "run") {
+		t.Fatalf("figure ids %v lack fig16 or run", ids)
+	}
+	for _, id := range ids {
 		s, err := FigureSpec(id, exp.DefaultSysOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -70,8 +76,8 @@ func TestFigureSpecsValidate(t *testing.T) {
 			t.Errorf("figure %s: in catalog = %v", id, inCatalog)
 		}
 	}
-	if _, err := FigureSpec("fig16", exp.DefaultSysOptions()); err == nil {
-		t.Error("fig16 is not a figure spec, but FigureSpec accepted it")
+	if _, err := FigureSpec("fig15", exp.DefaultSysOptions()); err == nil {
+		t.Error("fig15 is not a figure spec, but FigureSpec accepted it")
 	}
 	noMixes := exp.DefaultSysOptions()
 	noMixes.MixCount = 0
@@ -258,6 +264,29 @@ func TestLoaderErrors(t *testing.T) {
 			"periodicFactor: must be in (0, 1]"},
 		{"swept zero instructions", `"sweep":{"axes":[{"param":"instructions","values":[0,30000]}]}`,
 			"instructions: must be positive"},
+		{"red cell as one pacram value", `"config":{"mitigation":"RFM","nrh":64,"pacram":{"module":"H5","factor":0.18}}`,
+			"cannot be refreshed at 0.18"},
+		{"kept param not an axis", `"baseline":{"keep":["nrh"]},"sweep":{"axes":[{"param":"mitigation","values":["PARA"]}]}`,
+			`baseline.keep[0]: no sweep axis "nrh"`},
+		{"kept member pseudo-axis", `"baseline":{"keep":["member"]},"sweep":{"perMember":"g"}`,
+			`baseline.keep[0]: no sweep axis "member"`},
+		{"factor without module", `"sweep":{"axes":[{"param":"pacram.factor","values":[0.45]}]}`,
+			"pacram.module and pacram.factor must be swept together"},
+		{"module without factor", `"sweep":{"axes":[{"param":"pacram.module","values":["S6"]}]}`,
+			"pacram.module and pacram.factor must be swept together"},
+		{"pacram beside its halves", `"sweep":{"axes":[{"param":"pacram","values":[null]},{"param":"pacram.module","values":["S6"]},{"param":"pacram.factor","values":[0.45]}]}`,
+			"sweep either pacram or pacram.module and pacram.factor"},
+		{"unknown swept module", `"sweep":{"axes":[{"param":"pacram.module","values":["Z9"]},{"param":"pacram.factor","values":[0.45]}]}`,
+			"sweep.axes[0].values[0]"},
+		{"uncharacterized swept factor", `"sweep":{"axes":[{"param":"pacram.module","values":["S6"]},{"param":"pacram.factor","values":[0.5]}]}`,
+			"sweep.axes[1].values[0]: factor 0.5 is not characterized"},
+		{"ratioOfSums without baseline", `"columns":[{"name":"n","group":"g","metric":"sumIPC","agg":"ratioOfSums"}]`,
+			"columns[0].agg: ratioOfSums divides by the baseline's sum"},
+		{"ratioOfSums over a normalized metric", `"baseline":{},"columns":[{"name":"n","group":"g","metric":"normWS","agg":"ratioOfSums"}]`,
+			`columns[0].agg: ratioOfSums sums a raw metric, and "normWS" is normalized already`},
+		{"perMember unknown group", `"sweep":{"perMember":"nope","axes":[{"param":"nrh","values":[64]}]}`,
+			`sweep.perMember: no workload group "nope"`},
+		{"member column without perMember", `"columns":[{"name":"w","axis":"member"}]`, `no sweep axis "member"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -444,3 +473,156 @@ func TestMemoryAxis(t *testing.T) {
 		t.Errorf("doubling banks per group left IPC unchanged (%s)", tbl.Rows[0][1])
 	}
 }
+
+// TestFigureVocabulary compiles small specs in the terms Fig. 16 and
+// the run table use. Fig. 16's shape: factor 1.0 runs without PaCRAM
+// and so is the kept baseline's own cell, and H5 cannot run at 0.18,
+// so its point is dropped. The run table's shape: a per-member row
+// expansion adds rows but no cells.
+func TestFigureVocabulary(t *testing.T) {
+	const fig16 = `{
+		"name": "latency",
+		"sim": {"instructions": 4000, "warmup": 400},
+		"baseline": {"keep": ["mitigation", "nrh"]},
+		"workloads": [{"name": "g", "members": [{"cores": [{"workload": "429.mcf"}]}, {"cores": [{"workload": "470.lbm"}]}]}],
+		"sweep": {"axes": [
+			{"param": "pacram.module", "values": ["H5", "M2"]},
+			{"param": "mitigation", "values": ["RFM"]},
+			{"param": "nrh", "values": [64]},
+			{"param": "pacram.factor", "values": [1.0, 0.45, 0.18]}
+		]},
+		"columns": [
+			{"name": "module", "axis": "pacram.module"},
+			{"name": "factor", "axis": "pacram.factor"},
+			{"name": "normIPC", "group": "g", "metric": "sumIPC", "agg": "ratioOfSums"}
+		]
+	}`
+	s, err := Parse([]byte(fig16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// H5: 1.0 and 0.45; M2: 1.0, 0.45 and 0.18. Per member: the
+	// baseline (RFM at 64, shared by both 1.0 rows) and three PaCRAM
+	// cells.
+	if p.Rows() != 5 || p.Jobs() != 2*4 {
+		t.Fatalf("plans %d rows / %d jobs, want 5 / 8", p.Rows(), p.Jobs())
+	}
+	for _, row := range p.rows {
+		if row.display["pacram.factor"] != 1.0 {
+			continue
+		}
+		for _, mc := range row.groups[0] {
+			if mc.key != mc.baseKey {
+				t.Errorf("factor 1.0 cell %s is not its baseline %s", mc.key, mc.baseKey)
+			}
+		}
+	}
+
+	run, err := FigureSpec("run", exp.DefaultSysOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perMember, err := run.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Sweep.PerMember = ""
+	run.Columns = run.Columns[1:] // the member column
+	grouped, err := run.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perMember.Jobs() != grouped.Jobs() || perMember.Rows() != 6*grouped.Rows() {
+		t.Errorf("per-member run plans %d jobs / %d rows; grouped %d / %d", perMember.Jobs(), perMember.Rows(), grouped.Jobs(), grouped.Rows())
+	}
+}
+
+// TestFigureSpecRebuildsRunPairs: -mitigations and -nrh rebuild the
+// run table's zipped pairs behind its unprotected first pair.
+func TestFigureSpecRebuildsRunPairs(t *testing.T) {
+	o := exp.DefaultSysOptions()
+	o.Mitigations = []string{"RFM", "PRAC"}
+	o.NRHs = []int{128}
+	s, err := FigureSpec("run", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ax := range s.Sweep.Axes {
+		for i, raw := range ax.Values {
+			label := ""
+			if ax.Labels != nil {
+				label = "/" + ax.Labels[i]
+			}
+			got = append(got, string(raw)+label)
+		}
+	}
+	want := []string{`"None"`, `"RFM"`, `"PRAC"`, `1024/-`, `128/128`, `128/128`}
+	if !slices.Equal(got, want) {
+		t.Errorf("run axes %v, want %v", got, want)
+	}
+}
+
+// TestPaperScaleFitsPlanBound compiles Fig. 16 at the paper's full
+// scale, 62 workloads and NRH 1K..32, which the plan bound must admit.
+func TestPaperScaleFitsPlanBound(t *testing.T) {
+	o := exp.DefaultSysOptions()
+	o.Workloads = nil
+	for _, w := range trace.Catalog() {
+		o.Workloads = append(o.Workloads, w.Name)
+	}
+	o.NRHs = []int{1024, 512, 256, 128, 64, 32}
+	s, err := FigureSpec("fig16", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepBound: a spec of about 1 KB with a dozen 4-value axes
+// would expand into 4^12 (16.7M) points; Compile must reject it from
+// the axis lengths, naming the product, before building any point.
+func TestSweepBound(t *testing.T) {
+	s, err := Parse([]byte(oversizedSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Validate()
+	if err == nil {
+		t.Fatal("a 4^12-point sweep validated")
+	}
+	for _, want := range []string{"sweep: 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 points × 1 members", "plan bound"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// oversizedSweep is a small spec whose twelve axes multiply past the
+// plan bound.
+const oversizedSweep = `{
+	"name": "oversized",
+	"sim": {"instructions": 1000},
+	"workloads": [{"name": "g", "members": [{"cores": [{"workload": "429.mcf"}]}]}],
+	"sweep": {"axes": [
+		{"param": "mitigation", "values": ["PARA", "RFM", "PRAC", "Hydra"]},
+		{"param": "nrh", "values": [64, 128, 256, 512]},
+		{"param": "instructions", "values": [1000, 2000, 3000, 4000]},
+		{"param": "warmup", "values": [0, 100, 200, 300]},
+		{"param": "seed", "values": [1, 2, 3, 4]},
+		{"param": "memory.channels", "values": [1, 2, 4, 8]},
+		{"param": "memory.ranks", "values": [1, 2, 4, 8]},
+		{"param": "memory.rows", "values": [1024, 2048, 4096, 8192]},
+		{"param": "memory.blastRadius", "values": [1, 2, 3, 4]},
+		{"param": "memory.trfcScale", "values": [1, 1.45, 2.1, 3.05]},
+		{"param": "memory.cpuFreqGHz", "values": [2, 3, 4, 5]},
+		{"param": "periodicFactor", "values": [1, 0.81, 0.64, 0.45]}
+	]},
+	"columns": [{"name": "ipc", "group": "g", "metric": "sumIPC"}]
+}`

@@ -125,6 +125,11 @@ type BaselineSpec struct {
 	// refresh-free reference) so swept memory axes still share one
 	// deduplicated baseline cell.
 	Memory *MemParams `json:"memory,omitempty"`
+	// Keep names sweep axes whose point value the baseline keeps. The
+	// baseline otherwise takes no mitigation-side axis (mitigation, nrh,
+	// pacram, ...), so {"keep": ["mitigation", "nrh"]} normalizes each
+	// point to the same mechanism and threshold without PaCRAM.
+	Keep []string `json:"keep,omitempty"`
 }
 
 // PaCRAMSpec names a PaCRAM operating point; the concrete config is
@@ -260,12 +265,21 @@ type Sweep struct {
 	// fastest) or "zip" (axes advance in lockstep; equal lengths).
 	Mode string `json:"mode,omitempty"`
 	Axes []Axis `json:"axes"`
+	// PerMember names a workload group whose members each get their
+	// own block of rows (member outermost, then the sweep points):
+	// metric columns over that group read the row's one member, and
+	// the column axis "member" echoes its name. No cell is added.
+	PerMember string `json:"perMember,omitempty"`
 }
 
 // Axis sweeps one parameter. Values are typed per parameter: strings
 // for "mitigation", integers for "nrh", PaCRAM specs or null for
 // "pacram", and so on (see axis parsing in compile.go for the full
-// parameter list).
+// parameter list). "pacram.module" (chips IDs) and "pacram.factor"
+// (characterized factors) sweep one operating point's two halves as
+// separate axes, and must be swept together: factor 1.0 is nominal
+// and runs without PaCRAM, and a point whose module cannot run its
+// factor (a red cell of Table 4) is dropped.
 type Axis struct {
 	Param  string            `json:"param"`
 	Values []json.RawMessage `json:"values"`
@@ -283,7 +297,10 @@ type Column struct {
 	// Group and Metric aggregate a per-member metric over the group.
 	Group  string `json:"group,omitempty"`
 	Metric string `json:"metric,omitempty"`
-	// Agg is mean (default), min, max, sum or geomean.
+	// Agg is mean (default), min, max, sum, geomean or ratioOfSums:
+	// the metric summed over the members divided by the same sum over
+	// their baseline cells, both in member order (needs a baseline and
+	// a metric that is not normalized already).
 	Agg string `json:"agg,omitempty"`
 }
 

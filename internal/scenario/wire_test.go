@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"io/fs"
 	"path/filepath"
 	"testing"
 
@@ -42,30 +43,82 @@ func TestSpecWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := Parse(data)
-			if err != nil {
-				t.Fatalf("re-parsing marshaled spec: %v\n%s", err, data)
-			}
-			rt, err := back.Compile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rt.Rows() != orig.Rows() || rt.Jobs() != orig.Jobs() {
-				t.Fatalf("round trip changed shape: %d rows/%d jobs -> %d rows/%d jobs",
-					orig.Rows(), orig.Jobs(), rt.Rows(), rt.Jobs())
-			}
-			a, b := orig.Cells(), rt.Cells()
-			for i := range a {
-				if a[i].Key != b[i].Key {
-					t.Fatalf("cell %d key changed across the wire:\n  local:  %s\n  remote: %s", i, a[i].Key, b[i].Key)
-				}
-			}
+			checkWireRoundTrip(t, s, orig)
 		})
 	}
+}
+
+// checkWireRoundTrip marshals s, parses it back and compiles it: the
+// result must have orig's rows, jobs and cell keys, in order.
+func checkWireRoundTrip(t testing.TB, s *Spec, orig *Plan) {
+	t.Helper()
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(data)
+	if err != nil {
+		t.Fatalf("re-parsing marshaled spec: %v\n%s", err, data)
+	}
+	rt, err := back.Compile()
+	if err != nil {
+		t.Fatalf("compiling marshaled spec: %v\n%s", err, data)
+	}
+	if rt.Rows() != orig.Rows() || rt.Jobs() != orig.Jobs() {
+		t.Fatalf("round trip changed shape: %d rows/%d jobs -> %d rows/%d jobs",
+			orig.Rows(), orig.Jobs(), rt.Rows(), rt.Jobs())
+	}
+	a, b := orig.Cells(), rt.Cells()
+	for i := range a {
+		if a[i].Key != b[i].Key {
+			t.Fatalf("cell %d key changed across the wire:\n  local:  %s\n  remote: %s", i, a[i].Key, b[i].Key)
+		}
+	}
+}
+
+// FuzzParseCompile feeds arbitrary documents to the spec front end:
+// Parse and Compile must never panic, and every spec that compiles
+// must survive the wire round trip with the same jobs and cell keys.
+// The corpus seeds are the catalog and paper-figure specs.
+func FuzzParseCompile(f *testing.F) {
+	for _, dir := range []struct {
+		fsys fs.FS
+		glob string
+	}{{catalogFS, "catalog/*.json"}, {figuresFS, "figures/*.json"}} {
+		paths, err := fs.Glob(dir.fsys, dir.glob)
+		if err != nil || len(paths) == 0 {
+			f.Fatalf("no seed specs in %s: %v", dir.glob, err)
+		}
+		for _, p := range paths {
+			data, err := fs.ReadFile(dir.fsys, p)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		// Path-based traces read the file system; keep the target
+		// hermetic.
+		for _, g := range s.Workloads {
+			for _, m := range g.Members {
+				for _, c := range m.Cores {
+					if c.Trace != nil && c.Trace.Path != "" {
+						return
+					}
+				}
+			}
+		}
+		orig, err := s.Compile()
+		if err != nil {
+			return
+		}
+		checkWireRoundTrip(t, s, orig)
+	})
 }
 
 // TestSpecWireRoundTripToleratesOptionalSections pins the wire format

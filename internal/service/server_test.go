@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -271,6 +273,55 @@ func TestValidateEndpoint(t *testing.T) {
 	}
 	if _, err := client.Validate(SubmitRequest{Scenario: "refresh-stress", Spec: bad}); err == nil {
 		t.Fatal("ambiguous request accepted")
+	}
+}
+
+// TestOversizedSweepIs422: a spec of about 1 KB whose dozen 4-value
+// axes multiply to 4^12 sweep points is rejected from the axis lengths
+// with 422 and the product named, for validation and submission alike,
+// before any point is built.
+func TestOversizedSweepIs422(t *testing.T) {
+	srv, err := New(Config{Workers: 1, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
+	axes := []string{
+		`{"param":"mitigation","values":["PARA","RFM","PRAC","Hydra"]}`,
+		`{"param":"nrh","values":[64,128,256,512]}`,
+		`{"param":"instructions","values":[1000,2000,3000,4000]}`,
+		`{"param":"warmup","values":[0,100,200,300]}`,
+		`{"param":"seed","values":[1,2,3,4]}`,
+		`{"param":"memory.channels","values":[1,2,4,8]}`,
+		`{"param":"memory.ranks","values":[1,2,4,8]}`,
+		`{"param":"memory.rows","values":[1024,2048,4096,8192]}`,
+		`{"param":"memory.blastRadius","values":[1,2,3,4]}`,
+		`{"param":"memory.trfcScale","values":[1,1.45,2.1,3.05]}`,
+		`{"param":"memory.cpuFreqGHz","values":[2,3,4,5]}`,
+		`{"param":"periodicFactor","values":[1,0.81,0.64,0.45]}`,
+	}
+	spec := `{"name":"oversized","sim":{"instructions":1000},` +
+		`"workloads":[{"name":"g","members":[{"cores":[{"workload":"429.mcf"}]}]}],` +
+		`"sweep":{"axes":[` + strings.Join(axes, ",") + `]},` +
+		`"columns":[{"name":"ipc","group":"g","metric":"sumIPC"}]}`
+	body, err := json.Marshal(SubmitRequest{Spec: json.RawMessage(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{pathValidate, pathJobs} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422: %s", path, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), "4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 × 4 points") {
+			t.Errorf("%s: error %s does not name the product", path, msg)
+		}
 	}
 }
 
