@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -50,10 +51,23 @@ func fullFingerprint(fingerprint string) string {
 // shared by every store backend and the Pool's in-flight
 // deduplication, so they all stay aligned on what "the same cell"
 // means.
+//
+// The hashed message is fullFingerprint(fingerprint), the decimal
+// seed and the key joined by \x1f, written straight into one buffer
+// (the on-disk layout depends on these exact bytes).
 func hashCell(fingerprint string, seed uint64, key string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x1f%d\x1f%s", fullFingerprint(fingerprint), seed, key)
-	return hex.EncodeToString(h.Sum(nil))[:40]
+	var buf [1024]byte
+	msg := append(buf[:0], fingerprint...)
+	msg = append(msg, "\x1fbuild="...)
+	msg = append(msg, buildID()...)
+	msg = append(msg, '\x1f')
+	msg = strconv.AppendUint(msg, seed, 10)
+	msg = append(msg, '\x1f')
+	msg = append(msg, key...)
+	sum := sha256.Sum256(msg)
+	var out [40]byte
+	hex.Encode(out[:], sum[:20])
+	return string(out[:])
 }
 
 // DiskStore persists envelopes as one JSON file per hash — the layout

@@ -1,7 +1,12 @@
 package runner
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -112,5 +117,39 @@ func TestCorruptEntryWarningNamesCellAndPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, res[key]) {
 		t.Fatalf("rewritten entry %+v differs from the computed result %+v", out, res[key])
+	}
+}
+
+// TestHashCellMatchesFormatted pins hashCell to the fmt form every
+// existing cache directory was written under: sha256 over
+// "<full fingerprint>\x1f<decimal seed>\x1f<key>", hex, first 40
+// digits. Inputs are random, with separators, format verbs and
+// multi-byte runes in the strings and keys longer than hashCell's
+// stack buffer.
+func TestHashCellMatchesFormatted(t *testing.T) {
+	formatted := func(fingerprint string, seed uint64, key string) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\x1f%d\x1f%s", fullFingerprint(fingerprint), seed, key)
+		return hex.EncodeToString(h.Sum(nil))[:40]
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	alphabet := []rune("abc/:{}\"%d\x1f\x00é世 ")
+	str := func(maxLen int) string {
+		r := make([]rune, rng.IntN(maxLen+1))
+		for i := range r {
+			r[i] = alphabet[rng.IntN(len(alphabet))]
+		}
+		return string(r)
+	}
+	seeds := []uint64{0, 1, 7, math.MaxUint64}
+	for i := 0; i < 2000; i++ {
+		seed := rng.Uint64() >> rng.IntN(64)
+		if i < len(seeds) {
+			seed = seeds[i]
+		}
+		fp, key := str(40), str(1500)
+		if got, want := hashCell(fp, seed, key), formatted(fp, seed, key); got != want {
+			t.Fatalf("hashCell(%q, %d, %q) = %s, want %s", fp, seed, key, got, want)
+		}
 	}
 }

@@ -433,6 +433,24 @@ func (s *Spec) MemoryProfile() string {
 	return fmt.Sprintf("%d profiles", len(list))
 }
 
+// ReadsFiles reports whether compiling the spec reads a file: a
+// trace core given by path loads its records at compile time, so the
+// plan depends on the file's contents, not only on the spec's bytes.
+// Callers that cache plans by spec bytes must compile such a spec
+// afresh every time.
+func (s *Spec) ReadsFiles() bool {
+	for _, g := range s.Workloads {
+		for _, m := range g.Members {
+			for _, c := range m.Cores {
+				if c.Trace != nil && c.Trace.Path != "" {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // Sources summarizes the workload source kinds the spec's members
 // draw from ("mix+attacker", "workload+trace", ...), for catalog
 // listings.

@@ -8,15 +8,18 @@ import (
 )
 
 // serverMetrics is the server's resolved instrument set: job
-// lifecycle counters, the SSE subscriber gauge, and (via Collector)
-// the result store's tier counters. Pool metrics are registered by
-// Pool.Instrument on the same registry.
+// lifecycle counters, the SSE subscriber gauge, the plan cache's
+// lookup counters, and (via Collector) the result store's tier
+// counters. Pool metrics are registered by Pool.Instrument on the
+// same registry.
 type serverMetrics struct {
 	jobsSubmitted *telemetry.Counter
 	jobsDone      *telemetry.Counter
 	jobsFailed    *telemetry.Counter
 	jobsRunning   *telemetry.Gauge
 	sseSubs       *telemetry.Gauge
+	planHits      *telemetry.Counter
+	planMisses    *telemetry.Counter
 }
 
 // newServerMetrics registers the service-level families. The store's
@@ -33,6 +36,10 @@ func newServerMetrics(reg *telemetry.Registry, store *runner.Tiered) serverMetri
 		jobsFailed:    finished.With(StateFailed),
 		jobsRunning:   reg.Gauge("pacram_jobs_running", "Jobs currently executing."),
 		sseSubs:       reg.Gauge("pacram_sse_subscribers", "Open SSE event-stream subscriptions."),
+		planHits: reg.Counter("pacram_plan_cache_hits_total",
+			"Spec resolves (submit, validate, execute) served a compiled plan without compiling."),
+		planMisses: reg.Counter("pacram_plan_cache_misses_total",
+			"Spec resolves (submit, validate, execute) that compiled, or failed to resolve."),
 	}
 	reg.Collect(storeCollector(store))
 	return m

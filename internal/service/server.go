@@ -106,10 +106,15 @@ type Server struct {
 
 	// fleet is the coordinator-side worker registry (always present;
 	// empty until workers register). workerName is this daemon's fleet
-	// identity; plans caches compiled plans shipped by a coordinator.
+	// identity.
 	fleet      *fleet
 	workerName string
-	plans      planCache
+
+	// plans caches compiled spec documents for submit, validate and
+	// execute; catalogPlans holds the built-in specs New compiled, by
+	// name (see plans.go).
+	plans        planCache
+	catalogPlans map[string]*compiled
 
 	draining atomic.Bool
 	running  sync.WaitGroup // one count per executing job or dispatched cell
@@ -217,16 +222,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.catalogPlans = make(map[string]*compiled, len(specs))
 	for _, sp := range specs {
-		p, err := sp.Compile()
+		cp, err := compileSpec(sp)
 		if err != nil {
 			return nil, fmt.Errorf("service: built-in scenario %s: %w", sp.Name, err)
+		}
+		if !sp.ReadsFiles() {
+			s.catalogPlans[sp.Name] = cp
 		}
 		s.catalog = append(s.catalog, CatalogEntry{
 			Name:        sp.Name,
 			Description: sp.Description,
-			Cells:       p.Jobs(),
-			Rows:        p.Rows(),
+			Cells:       cp.plan.Jobs(),
+			Rows:        cp.plan.Rows(),
 			Profile:     sp.MemoryProfile(),
 			Source:      sp.Sources(),
 		})
@@ -347,33 +356,6 @@ func (s *Server) handleStoreStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.PerTier())
 }
 
-// resolveSpec turns a SubmitRequest into a compiled plan, classifying
-// failures: client errors (bad request shape, unknown name, invalid
-// spec) map to 4xx.
-func resolveSpec(req SubmitRequest) (*scenario.Spec, *scenario.Plan, int, error) {
-	var sp *scenario.Spec
-	var err error
-	switch {
-	case req.Scenario != "" && len(req.Spec) > 0:
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("give either scenario or spec, not both")
-	case req.Scenario != "":
-		if sp, err = scenario.ByName(req.Scenario); err != nil {
-			return nil, nil, http.StatusNotFound, err
-		}
-	case len(req.Spec) > 0:
-		if sp, err = scenario.Parse(req.Spec); err != nil {
-			return nil, nil, http.StatusUnprocessableEntity, err
-		}
-	default:
-		return nil, nil, http.StatusBadRequest, fmt.Errorf("give a scenario name or an inline spec")
-	}
-	plan, err := sp.Compile()
-	if err != nil {
-		return nil, nil, http.StatusUnprocessableEntity, err
-	}
-	return sp, plan, http.StatusOK, nil
-}
-
 // maxRequestBytes bounds submission bodies; real specs are a few KB,
 // so 4 MB is generous without letting one request balloon the daemon.
 const maxRequestBytes = 4 << 20
@@ -394,12 +376,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sp, plan, status, err := resolveSpec(req)
+	cp, status, err := s.resolveSpec(req)
 	if err != nil {
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ValidateResponse{Name: sp.Name, Cells: plan.Jobs(), Rows: plan.Rows()})
+	writeJSON(w, http.StatusOK, ValidateResponse{Name: cp.spec.Name, Cells: cp.plan.Jobs(), Rows: cp.plan.Rows()})
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -412,17 +394,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	sp, plan, status, err := resolveSpec(req)
+	cp, status, err := s.resolveSpec(req)
 	if err != nil {
 		writeError(w, status, "%v", err)
-		return
-	}
-	// Marshal the resolved spec once for the fleet: execute requests
-	// ship it so workers compile the identical plan (key identity across
-	// marshal→parse→compile is pinned by scenario.TestSpecWireRoundTrip).
-	specBytes, err := json.Marshal(sp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "marshaling spec for dispatch: %v", err)
 		return
 	}
 
@@ -438,9 +412,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := &job{
 		id:        fmt.Sprintf("job-%d", s.nextID),
-		scenario:  sp.Name,
-		total:     plan.Jobs(),
-		rows:      plan.Rows(),
+		scenario:  cp.spec.Name,
+		total:     cp.plan.Jobs(),
+		rows:      cp.plan.Rows(),
 		changed:   make(chan struct{}),
 		state:     StateRunning,
 		submitted: time.Now(),
@@ -455,21 +429,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.jobsRunning.Inc()
 	s.log.Info("job accepted",
 		"job", j.id, "scenario", j.scenario, "cells", j.total, "rows", j.rows)
-	go s.execute(j, plan, specBytes)
+	go s.execute(j, cp)
 
 	writeJSON(w, http.StatusAccepted, j.status())
 }
 
 // execute runs one job to completion on the shared pool, dispatching
 // owner-path cells to fleet workers when any are registered.
-func (s *Server) execute(j *job, plan *scenario.Plan, specBytes []byte) {
+func (s *Server) execute(j *job, cp *compiled) {
 	defer s.running.Done()
 	defer s.metrics.jobsRunning.Dec()
 	tw := s.openTrace(j.id)
-	tbl, err := plan.Run(scenario.RunOptions{
+	tbl, err := cp.plan.Run(scenario.RunOptions{
 		Pool:    s.pool,
 		Store:   s.store,
-		Remote:  s.fleet.dispatcher(specBytes),
+		Remote:  s.fleet.dispatcher(cp.wire),
 		Trace:   tw,
 		TraceID: j.id,
 		// A degrading result store or fleet must reach the operator's
@@ -675,7 +649,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the job's per-cell progress as SSE: one "cell"
 // event per finished cell (history replayed for late subscribers),
-// then one terminal "done" event carrying the final JobStatus.
+// then one terminal "done" event carrying the final JobStatus. Each
+// wake-up writes every event that is ready and flushes once before
+// waiting again: a flush is a write syscall, and cells finish in
+// bursts.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -698,11 +675,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+		return err == nil
 	}
 
 	next := 0
@@ -724,9 +698,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			next++
 		}
 		if terminal {
-			writeEvent("done", st)
+			if writeEvent("done", st) {
+				flusher.Flush()
+			}
 			return
 		}
+		flusher.Flush()
 		select {
 		case <-changed:
 		case <-r.Context().Done():

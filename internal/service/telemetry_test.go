@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	"pacram/internal/runner"
+	"pacram/internal/scenario"
 	"pacram/internal/telemetry"
 )
 
@@ -61,8 +64,9 @@ func familyValue(snap []telemetry.FamilySnapshot, name, labelName, labelValue st
 // smoke job also performs against a live daemon: after two submissions
 // of the same spec, the registry's pool outcome counters must sum to
 // the jobs' total cell count, the job lifecycle counters must match
-// the submissions, and both read surfaces (Prometheus text and JSON)
-// must serve the same registry.
+// the submissions, the plan cache's hits and misses must sum to the
+// spec resolves (submit, validate and execute), and both read surfaces
+// (Prometheus text and JSON) must serve the same registry.
 func TestMetricsEndpointsReconcile(t *testing.T) {
 	_, base, client := newObservedServer(t, nil)
 	raw, err := overlappingSpec("observed", []int{128, 256})
@@ -81,6 +85,37 @@ func TestMetricsEndpointsReconcile(t *testing.T) {
 	if second.Cached == 0 {
 		t.Fatalf("second submission hit no cache: %+v", second)
 	}
+	// Every spec resolve — submit, validate and a fabric execute of the
+	// same document — is one plan cache lookup: a hit or a miss.
+	resolves := 2
+	for _, req := range []SubmitRequest{{Scenario: "refresh-stress"}, {Spec: raw}, {Scenario: "no-such"}} {
+		if _, err := client.Validate(req); (err != nil) != (req.Scenario == "no-such") {
+			t.Fatalf("validate %+v: %v", req, err)
+		}
+		resolves++
+	}
+	sp, err := scenario.Parse(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sp.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := json.Marshal(ExecuteRequest{Spec: raw, Key: plan.Cells()[0].Key, Fingerprint: "scenario:v1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+pathFabricExecute, "application/json", bytes.NewReader(exec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("execute: %s", resp.Status)
+	}
+	resolves++
+	totalCells++ // the executed cell ran on the same pool
 
 	snap, err := client.Metrics()
 	if err != nil {
@@ -104,6 +139,15 @@ func TestMetricsEndpointsReconcile(t *testing.T) {
 	}
 	if got := familyValue(snap, "pacram_jobs_running", "", ""); got != 0 {
 		t.Errorf("jobs running = %v, want 0", got)
+	}
+	hits := familyValue(snap, "pacram_plan_cache_hits_total", "", "")
+	misses := familyValue(snap, "pacram_plan_cache_misses_total", "", "")
+	if int(hits+misses) != resolves {
+		t.Errorf("plan cache hits %v + misses %v, want %d resolves", hits, misses, resolves)
+	}
+	// Only the first submission and the unknown name missed.
+	if misses != 2 {
+		t.Errorf("plan cache misses = %v, want 2", misses)
 	}
 	// The store collector surfaces the tier counters; the disk tier saw
 	// at least the second job's hits.
@@ -142,6 +186,8 @@ func TestMetricsEndpointsReconcile(t *testing.T) {
 		"pacram_store_hits_total{tier=",
 		"pacram_pool_cell_seconds_bucket{le=",
 		"pacram_sse_subscribers 0",
+		fmt.Sprintf("pacram_plan_cache_hits_total %v", hits),
+		fmt.Sprintf("pacram_plan_cache_misses_total %v", misses),
 	} {
 		if !strings.Contains(string(body), series) {
 			t.Errorf("/metrics is missing %q\n%s", series, body)

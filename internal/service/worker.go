@@ -3,14 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"time"
 
 	"pacram/internal/runner"
-	"pacram/internal/scenario"
 	"pacram/internal/sim"
 )
 
@@ -18,52 +16,9 @@ import (
 // exposes the execute endpoint — worker is a role, not a build — and
 // JoinFleet turns a daemon into a registered worker of some
 // coordinator. A worker executes single cells from compiled plans it
-// caches by spec hash, on its own pool and store, so worker-side
-// caching and coalescing compose with the coordinator's exactly-once
-// machinery instead of bypassing it.
-
-// planCacheSize bounds the compiled-plan cache. Plans are keyed by the
-// sha256 of the spec bytes the coordinator shipped; a fleet serving a
-// rotating set of scenarios stays under this easily, and overflow just
-// recompiles.
-const planCacheSize = 64
-
-type planCache struct {
-	mu    sync.Mutex
-	plans map[[32]byte]*scenario.Plan
-}
-
-// plan returns the compiled plan for a spec document, compiling on
-// first sight.
-func (c *planCache) plan(spec []byte) (*scenario.Plan, error) {
-	key := sha256.Sum256(spec)
-	c.mu.Lock()
-	if c.plans == nil {
-		c.plans = make(map[[32]byte]*scenario.Plan)
-	}
-	if p, ok := c.plans[key]; ok {
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.mu.Unlock()
-
-	sp, err := scenario.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	p, err := sp.Compile()
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	if len(c.plans) >= planCacheSize {
-		c.plans = make(map[[32]byte]*scenario.Plan)
-	}
-	c.plans[key] = p
-	c.mu.Unlock()
-	return p, nil
-}
+// caches by spec hash (see plans.go), on its own pool and store, so
+// worker-side caching and coalescing compose with the coordinator's
+// exactly-once machinery instead of bypassing it.
 
 // handleFabricExecute runs exactly one cell of a shipped plan on this
 // daemon's pool and store and answers with the cell's store envelope.
@@ -86,12 +41,12 @@ func (s *Server) handleFabricExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "execute needs spec and key")
 		return
 	}
-	plan, err := s.plans.plan(req.Spec)
+	cp, err := s.planFor(req.Spec)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "compiling shipped spec: %v", err)
 		return
 	}
-	job, ok := plan.Job(req.Key)
+	job, ok := cp.plan.Job(req.Key)
 	if !ok {
 		// The coordinator compiled this key from the same bytes; a miss
 		// means build skew between daemons. Refusing makes the
