@@ -86,6 +86,8 @@
 // the flight owner stores its result before releasing waiters, so a
 // cell is computed at most once per (store, build) no matter how many
 // overlapping sweeps arrive concurrently. Options.OnEvent streams one
-// Event per finished cell — computed, cached or coalesced — which is
-// what the service forwards to clients over SSE.
+// Event per finished cell — computed, cached, coalesced, remote or
+// failed (Event.Outcome) — which is what the service forwards to
+// clients over SSE. The same record feeds the pool's metrics, the
+// cell's span tree and the progress line.
 package runner

@@ -8,11 +8,14 @@ import (
 	"time"
 )
 
-// Event describes one finished cell of a Run invocation, for callers
-// that stream per-cell progress (the sweep service forwards these over
-// SSE). Exactly one of the three outcomes holds per event: the cell
-// was computed here, served from the result store (Cached), or picked up
-// from a concurrent computation of the same cell (Coalesced).
+// Event is the one record of a finished cell of a Run invocation. The
+// pool's metrics, the cell's span tree, the progress line and OnEvent
+// (which the sweep service forwards over SSE) all read it, so they
+// cannot disagree. Exactly one of five outcomes holds per event (see
+// Outcome): the cell failed (Err), was served from a result store —
+// the local one or a remote worker's (Cached) — was picked up from a
+// concurrent computation of the same cell (Coalesced), was executed by
+// a remote worker (Worker), or was computed here.
 type Event struct {
 	// Key is the finished job's matrix key.
 	Key string
@@ -199,9 +202,15 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 		defer warnMu.Unlock()
 		opt.OnWarning(w)
 	}
-	emit := func(ev Event) {
+
+	// done hands a finished cell's record to every per-cell consumer,
+	// in order: metrics, the span tree, the progress line, OnEvent.
+	done := func(ev Event, ct *cellTrace, cellStart time.Time) {
 		ev.Done = int(doneCount.Add(1))
 		ev.Total = len(jobs)
+		now := time.Now()
+		p.metrics.cellDone(ev, now.Sub(cellStart))
+		ct.finish(ev, now)
 		if ev.Err == nil {
 			prog.step(ev.Cached || ev.Coalesced)
 		}
@@ -227,26 +236,16 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 					p.mu.Unlock()
 					<-f.done
 					now := time.Now()
-					wait := now.Sub(cellStart)
 					ct.phase("coalesce-wait", cellStart, now)
-					outcome := OutcomeCoalesced
+					results[i], errs[i] = f.res, f.err
 					if f.err != nil {
-						errs[i] = f.err
 						fail()
-						outcome = OutcomeFailed
-					} else {
-						results[i] = f.res
-						if f.cached {
-							outcome = OutcomeCached
-						}
 					}
-					p.metrics.cellDone(outcome, wait, 0)
-					ct.finish(outcome, now)
-					// An owner that merely loaded the cell from the
-					// store didn't compute anything to coalesce onto;
-					// report those waiters as cache hits.
-					emit(Event{Key: j.Key, Cached: f.cached, Coalesced: !f.cached, Err: f.err,
-						WaitNanos: int64(wait)})
+					// An owner that served the cell from a store — its
+					// own or a worker's — computed nothing to coalesce
+					// onto; report those waiters as cache hits.
+					done(Event{Key: j.Key, Cached: f.cached, Coalesced: !f.cached, Err: f.err,
+						WaitNanos: int64(now.Sub(cellStart))}, ct, cellStart)
 					continue
 				}
 				f := &flight[T]{done: make(chan struct{})}
@@ -259,8 +258,10 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 				// the gap that would let a concurrent submission
 				// recompute it never opens (short of a store failure,
 				// which degrades to duplicated work, never to
-				// corruption).
-				finish := func(res T, err error) {
+				// corruption). Every path releases the flight before
+				// its record goes out, so a caller reacting to an event
+				// never finds that cell still in flight.
+				release := func(res T, err error) {
 					f.res, f.err = res, err
 					p.mu.Lock()
 					delete(p.flights, hash)
@@ -269,7 +270,7 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 				}
 
 				// tryStore serves the cell from the result store when
-				// present, closing out the flight as a cache hit. It runs
+				// present, releasing the flight as a cache hit. It runs
 				// before any work — and again after a failed dispatch,
 				// because a dying worker may have written its result back
 				// before the wire broke.
@@ -287,11 +288,8 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 						return false
 					}
 					f.cached = true
-					finish(results[i], nil)
-					now := time.Now()
-					p.metrics.cellDone(OutcomeCached, now.Sub(cellStart), 0)
-					ct.finish(OutcomeCached, now)
-					emit(Event{Key: j.Key, Cached: true})
+					release(results[i], nil)
+					done(Event{Key: j.Key, Cached: true}, ct, cellStart)
 					return true
 				}
 				if tryStore() {
@@ -333,7 +331,6 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 						if compute > 0 {
 							ct.phase("remote-compute", dispatchStart.Add(wait), end)
 						}
-						ct.worker(rr.Worker)
 						if opt.Store != nil {
 							// The envelope is already in store currency:
 							// land it in the local tiers so the next sweep
@@ -345,16 +342,10 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 							}
 							ct.phase("store-put", putStart, time.Now())
 						}
-						finish(results[i], nil)
-						now := time.Now()
-						outcome := OutcomeRemote
-						if rr.Cached {
-							outcome = OutcomeCached
-						}
-						p.metrics.cellDone(outcome, now.Sub(cellStart), compute)
-						ct.finish(outcome, now)
-						emit(Event{Key: j.Key, Cached: rr.Cached, Worker: rr.Worker,
-							WaitNanos: int64(wait), ComputeNanos: int64(compute)})
+						f.cached = rr.Cached
+						release(results[i], nil)
+						done(Event{Key: j.Key, Cached: rr.Cached, Worker: rr.Worker,
+							WaitNanos: int64(wait), ComputeNanos: int64(compute)}, ct, cellStart)
 						continue
 					}
 				}
@@ -375,27 +366,16 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 				p.metrics.inflight.Dec()
 				<-p.slots
 				ct.phase("compute", computeStart, computeEnd)
-				wait := computeStart.Sub(waitStart)
-				compute := computeEnd.Sub(computeStart)
 				p.mu.Lock()
 				if p.computes != nil {
 					p.computes[j.Key]++
 				}
 				p.mu.Unlock()
 
+				results[i], errs[i] = res, err
 				if err != nil {
-					errs[i] = err
 					fail()
-					finish(res, err)
-					now := time.Now()
-					p.metrics.cellDone(OutcomeFailed, now.Sub(cellStart), compute)
-					ct.finish(OutcomeFailed, now)
-					emit(Event{Key: j.Key, Err: err,
-						WaitNanos: int64(wait), ComputeNanos: int64(compute)})
-					continue
-				}
-				results[i] = res
-				if opt.Store != nil {
+				} else if opt.Store != nil {
 					putStart := time.Now()
 					serr := PutCell(opt.Store, hash, opt.Fingerprint, j.Key, res)
 					ct.phase("store-put", putStart, time.Now())
@@ -403,12 +383,9 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 						warn(warningFor(j.Key, "put", serr))
 					}
 				}
-				finish(res, nil)
-				now := time.Now()
-				p.metrics.cellDone(OutcomeComputed, now.Sub(cellStart), compute)
-				ct.finish(OutcomeComputed, now)
-				emit(Event{Key: j.Key,
-					WaitNanos: int64(wait), ComputeNanos: int64(compute)})
+				release(res, err)
+				done(Event{Key: j.Key, Err: err, WaitNanos: int64(computeStart.Sub(waitStart)),
+					ComputeNanos: int64(computeEnd.Sub(computeStart))}, ct, cellStart)
 			}
 		}()
 	}

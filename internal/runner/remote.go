@@ -46,7 +46,8 @@ type RemoteResult struct {
 	// result in).
 	Data []byte
 	// Worker names the machine that executed the cell, for event
-	// attribution.
+	// attribution. It must be non-empty: Event.Outcome reads a worker
+	// name as remote execution.
 	Worker string
 	// Cached marks a cell the worker served from its own result store
 	// instead of computing.

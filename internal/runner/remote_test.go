@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pacram/internal/telemetry"
 )
 
 // fakeExecutor scripts RemoteExecutor behavior per key: execute
@@ -447,4 +449,83 @@ func (g *gateExecutor) Execute(key, fingerprint string, seed uint64) (RemoteResu
 		return RemoteResult{}, false, err
 	}
 	return RemoteResult{Data: data, Worker: "w-gate"}, true, nil
+}
+
+// TestRemoteCachedOwnerWaitersReportCached: a waiter on an owner whose
+// worker served the cell from its own store is a cache hit, as it is
+// on a local store hit — there was no computation to coalesce onto.
+func TestRemoteCachedOwnerWaitersReportCached(t *testing.T) {
+	reg := telemetry.New()
+	pool := NewPool[int](2)
+	pool.Instrument(reg)
+	var mu sync.Mutex
+	var events []Event
+	opt := Options{Fingerprint: "t", OnEvent: func(ev Event) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}}
+	if err := runHeldPair(pool, opt, opt); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 {
+		t.Fatalf("%d events, want 2", len(events))
+	}
+	for _, ev := range events {
+		if !ev.Cached || ev.Coalesced {
+			t.Fatalf("event %+v, want a cache hit", ev)
+		}
+	}
+	if got := cellsByOutcome(reg)[OutcomeCoalesced]; got != 0 {
+		t.Fatalf("%v coalesced cells booked, want 0", got)
+	}
+}
+
+// heldWorker answers every cell as a worker-side cache hit, but only
+// once release is closed; started closes when the first call arrives.
+type heldWorker struct {
+	once             sync.Once
+	started, release chan struct{}
+	calls            atomic.Int64
+}
+
+func (h *heldWorker) Capacity() int { return 1 }
+func (h *heldWorker) Execute(key, fingerprint string, seed uint64) (RemoteResult, bool, error) {
+	h.calls.Add(1)
+	h.once.Do(func() { close(h.started) })
+	<-h.release
+	data, err := EncodeCellEnvelope(fingerprint, key, 7)
+	if err != nil {
+		return RemoteResult{}, false, err
+	}
+	return RemoteResult{Data: data, Worker: "w-held", Cached: true}, true, nil
+}
+
+// runHeldPair runs one cell from two invocations on pool: the owner
+// dispatches it to a held worker, the waiter arrives while that
+// dispatch is in flight, then the worker answers. It fails unless the
+// waiter adopted the owner's flight (exactly one dispatch).
+func runHeldPair(pool *Pool[int], owner, waiter Options) error {
+	h := &heldWorker{started: make(chan struct{}), release: make(chan struct{})}
+	errs := make(chan error, 2)
+	run := func(opt Options) {
+		opt.Remote = h
+		_, err := pool.Run(opt, remoteJobs(1, nil))
+		errs <- err
+	}
+	go run(owner)
+	<-h.started
+	go run(waiter)
+	// The waiter needs to reach the flight map before the worker
+	// answers; a generous pause makes a miss implausible, and the
+	// dispatch count below catches one anyway.
+	time.Sleep(200 * time.Millisecond)
+	close(h.release)
+	if err := errors.Join(<-errs, <-errs); err != nil {
+		return err
+	}
+	if n := h.calls.Load(); n != 1 {
+		return fmt.Errorf("cell dispatched %d times, want 1 (the waiter missed the flight)", n)
+	}
+	return nil
 }

@@ -64,7 +64,7 @@ type Options struct {
 	// Label prefixes progress output.
 	Label string
 	// OnEvent, when non-nil, receives one Event per finished cell
-	// (computed, cached or coalesced — including failures). It is
+	// (computed, cached, coalesced, remote or failed). It is
 	// called from worker goroutines, possibly concurrently; it must be
 	// safe for concurrent use and return quickly.
 	OnEvent func(Event)

@@ -8,7 +8,8 @@ import (
 )
 
 // Cell outcome labels, shared by pool metrics, trace span attributes
-// and the daemon's exposition.
+// and the daemon's exposition. Event.Outcome is the one place a label
+// is chosen.
 const (
 	OutcomeComputed  = "computed"
 	OutcomeCached    = "cached"
@@ -18,6 +19,22 @@ const (
 	// RemoteExecutor (worker-side cache hits report OutcomeCached).
 	OutcomeRemote = "remote"
 )
+
+// Outcome labels the finished cell: failed if it has an error, then
+// cached, coalesced, remote (a worker executed it), else computed.
+func (ev Event) Outcome() string {
+	switch {
+	case ev.Err != nil:
+		return OutcomeFailed
+	case ev.Cached:
+		return OutcomeCached
+	case ev.Coalesced:
+		return OutcomeCoalesced
+	case ev.Worker != "":
+		return OutcomeRemote
+	}
+	return OutcomeComputed
+}
 
 // poolMetrics is a Pool's resolved instrument set. The zero value
 // (all nil instruments) is the uninstrumented state: every method on a
@@ -50,7 +67,7 @@ func (p *Pool[T]) Instrument(reg *telemetry.Registry) {
 	}
 	reg.Gauge("pacram_pool_workers", "Worker pool concurrency bound.").Set(int64(cap(p.slots)))
 	outcomes := reg.CounterVec("pacram_pool_cells_total",
-		"Finished sweep cells by outcome (computed, cached, coalesced, failed).", "outcome")
+		"Finished sweep cells by outcome (computed, cached, coalesced, remote, failed).", "outcome")
 	p.metrics = poolMetrics{
 		waiting:  reg.Gauge("pacram_pool_wait_cells", "Cells currently waiting for a pool slot."),
 		inflight: reg.Gauge("pacram_pool_inflight_cells", "Cells currently computing."),
@@ -68,12 +85,12 @@ func (p *Pool[T]) Instrument(reg *telemetry.Registry) {
 	}
 }
 
-// cellDone books one finished cell.
-func (m *poolMetrics) cellDone(outcome string, cell, compute time.Duration) {
-	m.outcomes[outcome].Inc()
+// cellDone books one finished cell that took cell end to end.
+func (m *poolMetrics) cellDone(ev Event, cell time.Duration) {
+	m.outcomes[ev.Outcome()].Inc()
 	m.cellSeconds.Observe(cell.Seconds())
-	if compute > 0 {
-		m.computeSeconds.Observe(compute.Seconds())
+	if ev.ComputeNanos > 0 {
+		m.computeSeconds.Observe(time.Duration(ev.ComputeNanos).Seconds())
 	}
 }
 
@@ -81,10 +98,9 @@ func (m *poolMetrics) cellDone(outcome string, cell, compute time.Duration) {
 // contiguous batch when the cell finishes. A nil *cellTrace (tracing
 // off) is a no-op on every method.
 type cellTrace struct {
-	w          *telemetry.TraceWriter
-	root       telemetry.Span
-	kids       []telemetry.Span
-	workerName string
+	w    *telemetry.TraceWriter
+	root telemetry.Span
+	kids []telemetry.Span
 }
 
 // newCellTrace opens the root "cell" span for job index i of an
@@ -118,24 +134,17 @@ func (c *cellTrace) phase(name string, start, end time.Time) {
 	})
 }
 
-// worker attributes the cell to the remote machine that executed it;
-// tracetool's fleet split reads it back off the root span.
-func (c *cellTrace) worker(name string) {
-	if c == nil || name == "" {
-		return
-	}
-	c.workerName = name
-}
-
-// finish closes the root span with its outcome and persists the tree.
-func (c *cellTrace) finish(outcome string, end time.Time) {
+// finish closes the root span with the cell's outcome (and the
+// remote machine that executed it, which tracetool's fleet split reads
+// back) and persists the tree.
+func (c *cellTrace) finish(ev Event, end time.Time) {
 	if c == nil {
 		return
 	}
 	c.root.End = end.UnixNano()
-	c.root.Attrs = map[string]string{"outcome": outcome}
-	if c.workerName != "" {
-		c.root.Attrs["worker"] = c.workerName
+	c.root.Attrs = map[string]string{"outcome": ev.Outcome()}
+	if ev.Worker != "" {
+		c.root.Attrs["worker"] = ev.Worker
 	}
 	c.w.WriteAll(append([]telemetry.Span{c.root}, c.kids...))
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pacram/internal/runner"
 	"pacram/internal/scenario"
 )
 
@@ -287,7 +288,7 @@ func TestEventsStreamFlushesEachBatch(t *testing.T) {
 	}()
 	for i := 1; i <= total; i++ {
 		key := fmt.Sprintf("cell-%d", i)
-		j.addEvent(CellEvent{Key: key, Done: i, Total: total})
+		j.addEvent(runner.Event{Key: key, Done: i, Total: total})
 		select {
 		case ev := <-got:
 			if ev.Key != key || ev.Done != i {

@@ -458,22 +458,7 @@ func (s *Server) execute(j *job, cp *compiled) {
 				"job", j.id, "cell", w.Cell, "op", w.Op,
 				"location", w.Location, "err", w.Err)
 		},
-		OnEvent: func(ev runner.Event) {
-			ce := CellEvent{
-				Key:           ev.Key,
-				Cached:        ev.Cached,
-				Coalesced:     ev.Coalesced,
-				Worker:        ev.Worker,
-				Done:          ev.Done,
-				Total:         ev.Total,
-				WaitMicros:    ev.WaitNanos / 1e3,
-				ComputeMicros: ev.ComputeNanos / 1e3,
-			}
-			if ev.Err != nil {
-				ce.Error = ev.Err.Error()
-			}
-			j.addEvent(ce)
-		},
+		OnEvent: j.addEvent,
 	})
 	if cerr := tw.Close(); cerr != nil {
 		s.log.Warn("trace write degraded", "job", j.id, "err", cerr)
@@ -518,32 +503,46 @@ func (s *Server) openTrace(jobID string) *telemetry.TraceWriter {
 	return telemetry.NewTraceWriter(f)
 }
 
-func (j *job) addEvent(ev CellEvent) {
+// addEvent records one finished cell from the pool's record: the wire
+// event the SSE stream replays, and the status counters by outcome.
+func (j *job) addEvent(ev runner.Event) {
+	ce := CellEvent{
+		Key:           ev.Key,
+		Cached:        ev.Cached,
+		Coalesced:     ev.Coalesced,
+		Worker:        ev.Worker,
+		Done:          ev.Done,
+		Total:         ev.Total,
+		WaitMicros:    ev.WaitNanos / 1e3,
+		ComputeMicros: ev.ComputeNanos / 1e3,
+	}
+	if ev.Err != nil {
+		ce.Error = ev.Err.Error()
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, ev)
+	j.events = append(j.events, ce)
 	// Events arrive from concurrent workers, so Done values may appear
 	// out of order; the counter only ever advances.
 	if ev.Done > j.done {
 		j.done = ev.Done
 	}
-	if ev.Cached {
+	switch ev.Outcome() {
+	case runner.OutcomeCached:
 		j.cached++
-	}
-	if ev.Coalesced {
+	case runner.OutcomeCoalesced:
 		j.coalesced++
+	case runner.OutcomeRemote:
+		j.remote++
 	}
 	if ev.Worker != "" {
-		if !ev.Cached {
-			j.remote++
-		}
 		if j.workers == nil {
 			j.workers = make(map[string]int)
 		}
 		j.workers[ev.Worker]++
 	}
-	j.waitMicros += ev.WaitMicros
-	j.computeMicros += ev.ComputeMicros
+	j.waitMicros += ce.WaitMicros
+	j.computeMicros += ce.ComputeMicros
 	j.broadcastLocked()
 }
 

@@ -99,9 +99,10 @@ type JobStatus struct {
 	// State is running, done or failed.
 	State string `json:"state"`
 	// Cells is the job's total distinct simulation cells; Done how
-	// many have finished so far. Cached counts cells served from the
-	// result store, Coalesced cells adopted from a concurrent job's
-	// in-flight computation.
+	// many have finished so far. Cached counts cells served from a
+	// result store (this server's or a worker's), Coalesced cells
+	// adopted from a concurrent job's in-flight computation; a failed
+	// cell counts in neither (runner.Event.Outcome).
 	Cells     int `json:"cells"`
 	Done      int `json:"done"`
 	Cached    int `json:"cached"`

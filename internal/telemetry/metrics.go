@@ -1,7 +1,8 @@
 // Package telemetry is the dependency-free observability substrate:
-// a metrics registry (counters, gauges, fixed-bucket histograms, with
-// optional label dimensions) plus a span/trace recorder persisting
-// per-cell phase timings as JSONL.
+// a metrics registry (counters, gauges and fixed-bucket histograms;
+// counters optionally labelled, and scrape-time collectors for other
+// labelled samples) plus a span/trace recorder persisting per-cell
+// phase timings as JSONL.
 //
 // Two properties shape the API:
 //
@@ -273,22 +274,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, TypeCounter, labels, nil)}
 }
 
-// GaugeVec registers a gauge family with label dimensions.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{r.register(name, help, TypeGauge, labels, nil)}
-}
-
-// HistogramVec registers a histogram family with label dimensions.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{r.register(name, help, TypeHistogram, labels, bounds)}
-}
-
 // CounterVec hands out per-label-value counters.
 type CounterVec struct{ f *family }
 
@@ -299,28 +284,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return v.f.with(values).(*Counter)
-}
-
-// GaugeVec hands out per-label-value gauges.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.with(values).(*Gauge)
-}
-
-// HistogramVec hands out per-label-value histograms.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.with(values).(*Histogram)
 }
 
 // Label is one label name/value pair on a collector sample.

@@ -104,10 +104,6 @@ func TestNilSafety(t *testing.T) {
 	h.Observe(1.5)
 	cv := r.CounterVec("nv_total", "", "l")
 	cv.With("x").Inc()
-	gv := r.GaugeVec("ngv", "", "l")
-	gv.With("x").Set(2)
-	hv := r.HistogramVec("nhv_seconds", "", DurationBuckets(), "l")
-	hv.With("x").Observe(0.1)
 	r.Collect(func() []Sample { return nil })
 	if got := r.gather(); got != nil {
 		t.Fatalf("nil registry gather = %v, want nil", got)
@@ -209,12 +205,10 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	v := r.CounterVec("pacram_demo_outcomes_total", "Cells by outcome.", "outcome")
 	v.With("computed").Add(5)
 	v.With("cached").Add(2)
-	e := r.GaugeVec("pacram_demo_escaped", `Help with \ and
-newline.`, "path")
-	e.With(`C:\tmp
-"x"`).Set(1)
 	r.Collect(func() []Sample {
 		return []Sample{
+			{Name: "pacram_demo_escaped", Type: TypeGauge, Help: "Help with \\ and\nnewline.",
+				Labels: []Label{{Name: "path", Value: "C:\\tmp\n\"x\""}}, Value: 1},
 			{Name: "pacram_demo_store_hits_total", Type: TypeCounter, Help: "Store hits.",
 				Labels: []Label{{Name: "tier", Value: "mem"}}, Value: 4},
 			{Name: "pacram_demo_store_hits_total", Type: TypeCounter,
@@ -268,8 +262,8 @@ func TestSnapshotJSONShape(t *testing.T) {
 	r := New()
 	r.Counter("a_total", "ha").Add(3)
 	r.Histogram("b_seconds", "hb", []float64{1}).Observe(0.5)
-	v := r.GaugeVec("c", "hc", "k")
-	v.With("x").Set(9)
+	v := r.CounterVec("c", "hc", "k")
+	v.With("x").Add(9)
 
 	snap := r.Snapshot()
 	if len(snap) != 3 {
