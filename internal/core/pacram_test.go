@@ -291,27 +291,3 @@ func BenchmarkPolicyVRRHold(b *testing.B) {
 		p.VRRHold(i%32, i%65536, float64(i))
 	}
 }
-
-func TestOnDiePolicyCountsMRWrites(t *testing.T) {
-	cfg := lowNRHConfig(t)
-	p := NewOnDiePolicy(NewPolicy(cfg, 1, 64))
-	// F -> P transition on the same row: nominal then reduced, so two
-	// MR updates; repeating the reduced hold adds none.
-	p.VRRHold(0, 5, 0)
-	p.VRRHold(0, 5, 100)
-	p.VRRHold(0, 5, 200)
-	if p.MRWrites != 2 {
-		t.Fatalf("MR writes = %d, want 2", p.MRWrites)
-	}
-	// A fresh row forces a switch back to nominal: one more update.
-	p.VRRHold(0, 6, 300)
-	if p.MRWrites != 3 {
-		t.Fatalf("MR writes = %d, want 3", p.MRWrites)
-	}
-	// Decisions are unchanged by the wrapper.
-	q := NewPolicy(cfg, 1, 64)
-	q.VRRHold(0, 5, 0)
-	if got := q.VRRHold(0, 5, 100); got != cfg.ReducedTRASNs {
-		t.Fatalf("wrapped and plain policies diverged: %g", got)
-	}
-}

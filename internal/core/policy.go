@@ -111,34 +111,6 @@ func (p *Policy) PartialFraction() float64 {
 	return float64(p.PartialRefreshes) / float64(tot)
 }
 
-// OnDiePolicy models the §8.5 on-DRAM-die placement: PaCRAM lives in
-// the DRAM chip (next to an on-die mechanism such as PRAC), and the
-// memory controller learns the preventive-refresh latency through a
-// mode register (MR). Decisions are identical to Policy; the wrapper
-// additionally counts MR updates — the interface traffic a DRAM-side
-// implementation induces (one MR write whenever the latency changes).
-type OnDiePolicy struct {
-	*Policy
-	// MRWrites counts latency changes communicated via mode registers.
-	MRWrites uint64
-	lastHold float64
-}
-
-// NewOnDiePolicy wraps a Policy with MR-update accounting.
-func NewOnDiePolicy(p *Policy) *OnDiePolicy {
-	return &OnDiePolicy{Policy: p, lastHold: -1}
-}
-
-// VRRHold implements memsys.RefreshPolicy.
-func (p *OnDiePolicy) VRRHold(bank, row int, nowNs float64) float64 {
-	h := p.Policy.VRRHold(bank, row, nowNs)
-	if h != p.lastHold {
-		p.MRWrites++
-		p.lastHold = h
-	}
-	return h
-}
-
 // PeriodicPolicy extends a Policy with the Appendix B optimization:
 // periodic refreshes also run at reduced latency, with every
 // (NPCR+1)-th refresh window performed at nominal latency to fully

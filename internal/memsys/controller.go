@@ -277,6 +277,11 @@ func (c *Controller) enqueue(req *Request) {
 	}
 }
 
+// metaLine is the forwarding line of metadata requests. Demand lines
+// are line-aligned, so none is all ones and a pending metadata write
+// never serves a demand read.
+const metaLine = ^uint64(0)
+
 // QueueMeta injects mitigation metadata traffic (Hydra's RCT).
 func (c *Controller) queueMeta(bankFlat int, reads, writes int) {
 	geo := c.cfg.Geometry
@@ -285,14 +290,14 @@ func (c *Controller) queueMeta(bankFlat int, reads, writes int) {
 	for i := 0; i < reads && len(c.readQ) < c.cfg.ReadQueue; i++ {
 		a.Column = (int(c.stats.MetaReads) + i) % geo.Columns
 		req := c.getRequest()
-		*req = Request{Addr: a, Write: false, Arrival: c.cycle, Meta: true}
+		*req = Request{Addr: a, Line: metaLine, Write: false, Arrival: c.cycle, Meta: true}
 		c.enqueue(req)
 		c.stats.MetaReads++
 	}
 	for i := 0; i < writes && len(c.writeQ) < c.cfg.WriteQueue; i++ {
 		a.Column = (int(c.stats.MetaWrites) + i) % geo.Columns
 		req := c.getRequest()
-		*req = Request{Addr: a, Write: true, Arrival: c.cycle, Meta: true}
+		*req = Request{Addr: a, Line: metaLine, Write: true, Arrival: c.cycle, Meta: true}
 		c.enqueue(req)
 		c.stats.MetaWrites++
 	}

@@ -321,6 +321,26 @@ func TestMetaTrafficQueued(t *testing.T) {
 	}
 }
 
+// TestMetaWriteDoesNotForward: a pending metadata write (Hydra's RCT)
+// is not the demand line at physical address 0, so a read of that line
+// must queue for DRAM instead of completing from the write queue.
+func TestMetaWriteDoesNotForward(t *testing.T) {
+	c := newCtrl(t, testConfig(), nil, nil)
+	c.queueMeta(0, 0, 1)
+	if len(c.writeQ) != 1 {
+		t.Fatalf("%d queued writes, want the metadata write", len(c.writeQ))
+	}
+	pending := 1
+	if !c.Issue(0, false, func() { pending-- }) {
+		t.Fatal("read rejected")
+	}
+	if len(c.readQ) != 1 || c.Stats().Reads != 0 {
+		t.Fatalf("read of line 0 was forwarded from the metadata write (%d queued reads, %d serviced)",
+			len(c.readQ), c.Stats().Reads)
+	}
+	drain(t, c, &pending, 20000)
+}
+
 type metaMit struct{ fired bool }
 
 func (m *metaMit) Name() string { return "meta" }

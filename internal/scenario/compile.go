@@ -47,6 +47,18 @@ type cell struct {
 // expands into billions of points.
 const maxPlanCells = 1 << 16
 
+// maxCellBanks and maxCellInstructions bound one cell's own cost,
+// checked as the cell is resolved. Banks (channels × ranks × bank
+// groups × banks per group) size the state a cell allocates before
+// its first cycle, about 6 KB per bank under Hydra; simulated
+// instructions (cores × (instructions + warmup)) size its run. The
+// paper's system has 32 banks, and a four-core cell at the paper's
+// full scale of 100M instructions with a 10M warmup simulates 440M.
+const (
+	maxCellBanks        = 1 << 12
+	maxCellInstructions = 1 << 34
+)
+
 // pacramKey fingerprints a PaCRAM operating point for job keys (the
 // derived pacram.Config contains +Inf fields, which JSON rejects; the
 // derivation is deterministic from these plus NRH and timing anyway).
@@ -300,6 +312,10 @@ func (s *Spec) Compile() (*Plan, error) {
 		row := rowPlan{display: pt.display, groups: make([][]memberCells, len(groups))}
 		for gi := range groups {
 			for _, mem := range groups[gi] {
+				// The baseline cell runs the same budget.
+				if err := rc.checkWork(len(mem.cores)); err != nil {
+					return nil, s.errf(fmt.Sprintf("%s: member %q", ppath, mem.name), "%v", err)
+				}
 				// Attacker strides resolve against the cell's geometry,
 				// so their footprint check must re-run per sweep point —
 				// here, at plan time with a precise path, not mid-sweep
@@ -569,6 +585,9 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 	if err := mem.Geometry.Validate(); err != nil {
 		return nil, s.errf(path+": memory", "%v", err)
 	}
+	if err := checkBanks(mem.Geometry); err != nil {
+		return nil, s.errf(path+": memory", "%v", err)
+	}
 
 	// Re-check budgets here, not just at spec level: sweep axes can
 	// set them per point.
@@ -639,6 +658,31 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 		}
 	}
 	return rc, nil
+}
+
+// checkBanks bounds a cell's banks by maxCellBanks, multiplying the
+// dimensions only while the product stays under the bound.
+func checkBanks(g ddr.Geometry) error {
+	n := 1
+	for _, d := range []int{g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup} {
+		if d > maxCellBanks/n {
+			return fmt.Errorf("%d channels × %d ranks × %d bank groups × %d banks is over the per-cell bound of %d banks",
+				g.Channels, g.Ranks, g.BankGroups, g.BanksPerGroup, maxCellBanks)
+		}
+		n *= d
+	}
+	return nil
+}
+
+// checkWork bounds the instructions the cell simulates on a member of
+// the given number of cores by maxCellInstructions, without overflow.
+func (rc *resolvedCell) checkWork(cores int) error {
+	perCore := rc.Insts + rc.Warmup
+	if perCore < rc.Insts || perCore > maxCellInstructions/uint64(cores) {
+		return fmt.Errorf("%d cores × (%d instructions + %d warmup) is over the per-cell bound of %d simulated instructions",
+			cores, rc.Insts, rc.Warmup, uint64(maxCellInstructions))
+	}
+	return nil
 }
 
 // derivable reports whether a module can run PaCRAM at a factor: false

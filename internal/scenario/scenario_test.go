@@ -604,6 +604,69 @@ func TestSweepBound(t *testing.T) {
 	}
 }
 
+// TestPaperScaleFitsCellBound compiles every paper figure at the
+// paper's full scale (62 workloads, 60 mixes, 100M instructions per
+// core after a 10M warmup), whose cells the per-cell bounds must admit.
+func TestPaperScaleFitsCellBound(t *testing.T) {
+	o := exp.DefaultSysOptions()
+	o.Workloads = nil
+	for _, w := range trace.Catalog() {
+		o.Workloads = append(o.Workloads, w.Name)
+	}
+	o.MixCount = 60
+	o.Instructions, o.Warmup = 100_000_000, 10_000_000
+	o.NRHs = []int{1024, 512, 256, 128, 64, 32}
+	for _, id := range figureIDs() {
+		s, err := FigureSpec(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
+}
+
+// TestCellBound: a cell whose banks or simulated instructions exceed
+// the per-cell bounds is rejected at compile time, naming the product,
+// before anything is allocated for it.
+func TestCellBound(t *testing.T) {
+	for _, c := range []struct {
+		name, patch, want string
+	}{
+		{"channels", `"sim": {"instructions": 1000}, "memory": {"channels": 1048576}`,
+			"memory: 1048576 channels × 2 ranks × 8 bank groups × 2 banks is over the per-cell bound of 4096 banks"},
+		{"instructions", `"sim": {"instructions": 1000000000000000}`,
+			`member "429.mcf": 1 cores × (1000000000000000 instructions + 0 warmup) is over the per-cell bound of 17179869184 simulated instructions`},
+		{"overflow", `"sim": {"instructions": 9223372036854775808, "warmup": 9223372036854775808}`,
+			"1 cores × (9223372036854775808 instructions + 9223372036854775808 warmup) is over the per-cell bound"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := Parse([]byte(`{"name": "probe", ` + c.patch + `,
+				"workloads": [{"name": "g", "members": [{"cores": [{"workload": "429.mcf"}]}]}],
+				"columns": [{"name": "ipc", "group": "g", "metric": "sumIPC"}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %v does not contain %q", err, c.want)
+			}
+		})
+	}
+	// A cell at the bank bound exactly still compiles.
+	s, err := Parse([]byte(`{"name": "probe", "sim": {"instructions": 1000},
+		"memory": {"channels": 16, "ranks": 16},
+		"workloads": [{"name": "g", "members": [{"cores": [{"workload": "429.mcf"}, {"workload": "470.lbm"}]}]}],
+		"columns": [{"name": "ipc", "group": "g", "metric": "sumIPC"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("16 channels × 16 ranks × 16 banks (the bound exactly): %v", err)
+	}
+}
+
 // oversizedSweep is a small spec whose twelve axes multiply past the
 // plan bound.
 const oversizedSweep = `{

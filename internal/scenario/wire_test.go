@@ -97,6 +97,11 @@ func FuzzParseCompile(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// A million channels: without the per-cell bank bound this compiled,
+	// and its first cell ran out of memory.
+	f.Add([]byte(`{"name":"probe","sim":{"instructions":1000},"memory":{"channels":1048576},` +
+		`"workloads":[{"name":"g","members":[{"cores":[{"workload":"429.mcf"}]}]}],` +
+		`"columns":[{"name":"ipc","group":"g","metric":"sumIPC"}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {
@@ -116,6 +121,14 @@ func FuzzParseCompile(f *testing.F) {
 		orig, err := s.Compile()
 		if err != nil {
 			return
+		}
+		for _, c := range orig.Cells() {
+			if banks := c.rc.MemCfg.Geometry.TotalBanks(); banks > maxCellBanks {
+				t.Fatalf("cell %s compiled with %d banks", c.Key, banks)
+			}
+			if work := uint64(len(c.cores)) * (c.rc.Insts + c.rc.Warmup); work > maxCellInstructions {
+				t.Fatalf("cell %s compiled with %d simulated instructions", c.Key, work)
+			}
 		}
 		checkWireRoundTrip(t, s, orig)
 	})

@@ -187,29 +187,35 @@ func (c *Client) Watch(ctx context.Context, id string, onCell func(CellEvent)) (
 		return nil, apiError(resp)
 	}
 
-	var event string
+	// The scanner grows its buffer only as far as the longest line
+	// needs; cell frames are a few hundred bytes, the done event more.
+	var event []byte
 	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	scanner.Buffer(nil, 1<<20)
 	for scanner.Scan() {
-		line := scanner.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "cell":
-				var ev CellEvent
-				if err := json.Unmarshal([]byte(data), &ev); err == nil && onCell != nil {
-					onCell(ev)
-				}
-			case "done":
-				var st JobStatus
-				if err := json.Unmarshal([]byte(data), &st); err != nil {
-					return nil, fmt.Errorf("decoding terminal event: %w", err)
-				}
-				return &st, nil
+		line := scanner.Bytes()
+		if name, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+			event = append(event[:0], name...)
+			continue
+		}
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
+			continue
+		}
+		switch string(event) {
+		case "cell":
+			if onCell == nil {
+				continue
 			}
+			if ev, err := decodeCellEvent(data); err == nil {
+				onCell(ev)
+			}
+		case "done":
+			var st JobStatus
+			if err := json.Unmarshal(data, &st); err != nil {
+				return nil, fmt.Errorf("decoding terminal event: %w", err)
+			}
+			return &st, nil
 		}
 	}
 	if err := ctx.Err(); err != nil {

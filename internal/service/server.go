@@ -143,7 +143,7 @@ type job struct {
 	mu            sync.Mutex
 	changed       chan struct{}
 	state         string
-	events        []CellEvent
+	stream        []byte // the SSE cell frames so far, append-only
 	done          int
 	cached        int
 	coalesced     int
@@ -503,8 +503,9 @@ func (s *Server) openTrace(jobID string) *telemetry.TraceWriter {
 	return telemetry.NewTraceWriter(f)
 }
 
-// addEvent records one finished cell from the pool's record: the wire
-// event the SSE stream replays, and the status counters by outcome.
+// addEvent records one finished cell from the pool's record: the SSE
+// frame every subscriber replays, encoded once here before j.mu is
+// taken, and the status counters by outcome.
 func (j *job) addEvent(ev runner.Event) {
 	ce := CellEvent{
 		Key:           ev.Key,
@@ -519,9 +520,11 @@ func (j *job) addEvent(ev runner.Event) {
 	if ev.Err != nil {
 		ce.Error = ev.Err.Error()
 	}
+	var buf [256]byte // holds a frame unless its error message is long
+	frame := appendCellFrame(buf[:0], ce)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.events = append(j.events, ce)
+	j.stream = append(j.stream, frame...)
 	// Events arrive from concurrent workers, so Done values may appear
 	// out of order; the counter only ever advances.
 	if ev.Done > j.done {
@@ -601,12 +604,16 @@ func (s *Server) evictLocked() {
 		return
 	}
 	kept := s.order[:0]
-	for _, id := range s.order {
+	for i, id := range s.order {
+		if excess == 0 {
+			kept = append(kept, s.order[i:]...)
+			break
+		}
 		j := s.jobs[id]
 		j.mu.Lock()
 		finished := j.state != StateRunning
 		j.mu.Unlock()
-		if excess > 0 && finished {
+		if finished {
 			delete(s.jobs, id)
 			excess--
 			continue
@@ -649,9 +656,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's per-cell progress as SSE: one "cell"
 // event per finished cell (history replayed for late subscribers),
 // then one terminal "done" event carrying the final JobStatus. Each
-// wake-up writes every event that is ready and flushes once before
-// waiting again: a flush is a write syscall, and cells finish in
-// bursts.
+// wake-up writes every frame that is ready in one write and flushes
+// once before waiting again: a flush is a write syscall, and cells
+// finish in bursts. The frames were encoded when their cells finished;
+// j.stream only ever grows, so the bytes below the length read under
+// j.mu never change and are written without it.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r)
 	if !ok {
@@ -669,19 +678,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sseSubs.Inc()
 	defer s.metrics.sseSubs.Dec()
 
-	writeEvent := func(event string, v any) bool {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-		return err == nil
-	}
-
 	next := 0
 	for {
 		j.mu.Lock()
-		events := j.events[next:]
+		frames := j.stream[next:]
 		terminal := j.state != StateRunning
 		var st JobStatus
 		if terminal {
@@ -690,15 +690,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		changed := j.changed
 		j.mu.Unlock()
 
-		for _, ev := range events {
-			if !writeEvent("cell", ev) {
+		if len(frames) > 0 {
+			if _, err := w.Write(frames); err != nil {
 				return
 			}
-			next++
+			next += len(frames)
 		}
 		if terminal {
-			if writeEvent("done", st) {
-				flusher.Flush()
+			if data, err := json.Marshal(st); err == nil {
+				if _, err := fmt.Fprintf(w, "event: done\ndata: %s\n\n", data); err == nil {
+					flusher.Flush()
+				}
 			}
 			return
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -325,6 +326,43 @@ func TestOversizedSweepIs422(t *testing.T) {
 	}
 }
 
+// TestOversizedCellIs422: one cell with a million channels, or a
+// 10^15-instruction budget, would take the daemon down (out of memory)
+// or hold a worker for good; both are rejected with 422, naming the
+// product, for validation and submission alike, and nothing runs.
+func TestOversizedCellIs422(t *testing.T) {
+	_, client := newTestServer(t, 1)
+	for _, c := range []struct{ patch, product string }{
+		{`"sim":{"instructions":1000},"memory":{"channels":1048576}`, "1048576 channels × 2 ranks × 8 bank groups × 2 banks"},
+		{`"sim":{"instructions":1000000000000000}`, "1 cores × (1000000000000000 instructions + 0 warmup)"},
+	} {
+		spec := `{"name":"probe",` + c.patch + `,` +
+			`"workloads":[{"name":"g","members":[{"cores":[{"workload":"429.mcf"}]}]}],` +
+			`"columns":[{"name":"ipc","group":"g","metric":"sumIPC"}]}`
+		body, err := json.Marshal(SubmitRequest{Spec: json.RawMessage(spec)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{pathValidate, pathJobs} {
+			resp, err := http.Post(client.base+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s: status %d, want 422: %s", path, resp.StatusCode, msg)
+			}
+			if !strings.Contains(string(msg), c.product+" is over the per-cell bound") {
+				t.Errorf("%s: error %s does not name the product %q", path, msg, c.product)
+			}
+		}
+	}
+	if jobs, err := client.Jobs(); err != nil || len(jobs) != 0 {
+		t.Fatalf("rejected specs left jobs %+v (%v)", jobs, err)
+	}
+}
+
 // TestEventsStreamIsDense follows a job over SSE and checks the
 // stream: one event per cell, dense Done counters, then the terminal
 // status.
@@ -525,6 +563,37 @@ func TestJobRetentionEvictsOldestFinished(t *testing.T) {
 	}
 	if len(jobs) != 2 || jobs[0].ID != ids[2] || jobs[1].ID != ids[3] {
 		t.Fatalf("listing after eviction: %+v", jobs)
+	}
+}
+
+// TestEvictionStopsAtExcess: eviction skips running jobs and stops
+// looking once it has dropped enough finished ones, so it never takes
+// the lock of a job it leaves alone. The newest job's lock is held
+// throughout; touching it would block eviction.
+func TestEvictionStopsAtExcess(t *testing.T) {
+	srv := &Server{jobs: make(map[string]*job), retain: 2}
+	for i, state := range []string{StateDone, StateRunning, StateFailed, StateDone} {
+		id := fmt.Sprintf("job-%d", i)
+		srv.jobs[id] = &job{id: id, state: state}
+		srv.order = append(srv.order, id)
+	}
+	newest := srv.jobs["job-3"]
+	newest.mu.Lock()
+	evicted := make(chan struct{})
+	go func() {
+		srv.evictLocked()
+		close(evicted)
+	}()
+	select {
+	case <-evicted:
+	case <-time.After(10 * time.Second):
+		newest.mu.Unlock()
+		<-evicted
+		t.Fatal("eviction locked a job after it had evicted enough")
+	}
+	newest.mu.Unlock()
+	if want := []string{"job-1", "job-3"}; !slices.Equal(srv.order, want) || len(srv.jobs) != len(want) {
+		t.Fatalf("after eviction: order %v with %d jobs, want %v", srv.order, len(srv.jobs), want)
 	}
 }
 
