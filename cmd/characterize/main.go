@@ -55,9 +55,7 @@ func main() {
 	opt.Parallel = *parallel
 	opt.CacheDir = *cacheDir
 	opt.Progress = progress
-	if *modules != "" {
-		opt.Modules = strings.Split(*modules, ",")
-	}
+	opt.Modules = moduleIDs(*modules)
 
 	ids := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {
@@ -80,6 +78,20 @@ func main() {
 			}
 		}
 	}
+}
+
+// moduleIDs splits the -modules flag into IDs, trimming the spaces
+// around each, as -exp does; an empty flag keeps the experiment's
+// defaults.
+func moduleIDs(flag string) []string {
+	if flag == "" {
+		return nil
+	}
+	ids := strings.Split(flag, ",")
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+	}
+	return ids
 }
 
 func runExperiment(id string, opt exp.CharOptions) (*exp.Table, error) {

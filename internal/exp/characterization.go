@@ -58,83 +58,6 @@ func (o CharOptions) runnerOptions(label string) (runner.Options, error) {
 	}.WithStore(o.CacheDir, "")
 }
 
-// charRun measures one module at one (factor, npr, temperature) sweep
-// point. During the planning pass it records the point in the job
-// matrix and returns a placeholder; during assembly it returns the
-// computed (or cached) measurement. Each job builds its own platform,
-// and the device model is closed-form per row, so a point measured in
-// isolation is bit-identical to one measured mid-sequence — which is
-// what makes the fan-out safe.
-type charRun func(m *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error)
-
-// sweep drives a characterization figure builder through the runner in
-// two passes: plan into a scratch table, execute the matrix, assemble
-// into t. Builders must request the same sweep points in both passes
-// (branch on options, not on results).
-func (o CharOptions) sweep(t *Table, label string, build func(*Table, charRun) error) error {
-	m := runner.NewMatrix[characterize.ModuleResult]()
-	plan := func(mod *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error) {
-		key := charKey(mod.Info.ID, factor, npr, temp)
-		m.Add(key, func(runner.Ctx) (characterize.ModuleResult, error) {
-			res, err := characterize.MeasureModule(mod, o.deviceOptions(), factor, npr, temp, o.Rows, o.config())
-			if err != nil {
-				return characterize.ModuleResult{}, fmt.Errorf("exp: %s: %w", key, err)
-			}
-			return res, nil
-		})
-		return plannedModuleResult(mod, factor, npr, temp), nil
-	}
-	var scratch Table
-	if err := build(&scratch, plan); err != nil {
-		return err
-	}
-	ropt, err := o.runnerOptions(label)
-	if err != nil {
-		return err
-	}
-	results, err := runner.Run(ropt, m.Jobs())
-	if err != nil {
-		return err
-	}
-	get := func(mod *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error) {
-		res, ok := results[charKey(mod.Info.ID, factor, npr, temp)]
-		if !ok {
-			return characterize.ModuleResult{}, fmt.Errorf("exp: internal: point %s not planned",
-				charKey(mod.Info.ID, factor, npr, temp))
-		}
-		return res, nil
-	}
-	return build(t, get)
-}
-
-// serialCharRun returns a charRun that measures immediately, without
-// planning or pooling — for drivers like Takeaways that interleave a
-// handful of measurements with narrative assembly.
-func (o CharOptions) serialCharRun() charRun {
-	return func(m *chips.ModuleData, factor float64, npr int, temp float64) (characterize.ModuleResult, error) {
-		return characterize.MeasureModule(m, o.deviceOptions(), factor, npr, temp, o.Rows, o.config())
-	}
-}
-
-func charKey(moduleID string, factor float64, npr int, temp float64) string {
-	return fmt.Sprintf("char/%s/f%.4f/npr%d/t%g", moduleID, factor, npr, temp)
-}
-
-// plannedModuleResult is the planning-pass placeholder: one synthetic
-// row with bitflips so that LowestNRH and per-row normalization take
-// the same code paths they will at assembly time (the placeholder
-// never reaches the real table).
-func plannedModuleResult(mod *chips.ModuleData, factor float64, npr int, temp float64) characterize.ModuleResult {
-	return characterize.ModuleResult{
-		ModuleID: mod.Info.ID,
-		Mfr:      mod.Info.Mfr,
-		Factor:   factor,
-		NPR:      npr,
-		TempC:    temp,
-		Rows:     []characterize.RowMeasurement{{LogicalRow: 0, NRH: 1, BER: 1}},
-	}
-}
-
 func (o CharOptions) deviceOptions() chips.DeviceOptions {
 	opt := chips.DefaultDeviceOptions()
 	opt.Rows = o.BankRows
@@ -148,6 +71,9 @@ func (o CharOptions) config() characterize.Config {
 	return cfg
 }
 
+// modules resolves the module IDs to sweep: Modules when set, else the
+// experiment's defaults, else the whole registry. A module listed twice
+// is an error, since it would count its rows twice.
 func (o CharOptions) modules(defaults ...string) ([]*chips.ModuleData, error) {
 	ids := o.Modules
 	if len(ids) == 0 {
@@ -157,7 +83,12 @@ func (o CharOptions) modules(defaults ...string) ([]*chips.ModuleData, error) {
 		return chips.Registry(), nil
 	}
 	out := make([]*chips.ModuleData, 0, len(ids))
+	seen := make(map[string]bool, len(ids))
 	for _, id := range ids {
+		if seen[id] {
+			return nil, fmt.Errorf("exp: module %s listed twice", id)
+		}
+		seen[id] = true
 		m, err := chips.ByID(id)
 		if err != nil {
 			return nil, err
@@ -167,43 +98,214 @@ func (o CharOptions) modules(defaults ...string) ([]*chips.ModuleData, error) {
 	return out, nil
 }
 
-// moduleSweep measures one module at (factor, npr, temp), returning
-// per-row measurements keyed by logical row.
-func moduleSweep(run charRun, m *chips.ModuleData, factor float64, npr int, temp float64) (map[int]characterize.RowMeasurement, error) {
-	res, err := run(m, factor, npr, temp)
+// withBitflips drops the modules that show no RowHammer bitflips at
+// any latency (the paper's "no bitflips" rows of Table 3).
+func withBitflips(mods []*chips.ModuleData) []*chips.ModuleData {
+	var out []*chips.ModuleData
+	for _, m := range mods {
+		if !m.NoBitflips {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// A cell is one measurement a builder plans. Its key names it in the
+// job matrix and the result store; measure runs it on a platform of
+// its own. The device model is closed-form per row, so a cell measured
+// in isolation is bit-identical to one measured mid-sequence, which is
+// what makes the fan-out safe.
+type cell[T any] interface {
+	key() string
+	measure(CharOptions) (T, error)
+}
+
+// results holds one run's measurements by cell key.
+type results[T any] map[string]T
+
+// at returns the measurement of c. A builder reads only the cells it
+// listed, so a cell that was never planned is an error.
+func (r results[T]) at(c cell[T]) (T, error) {
+	v, ok := r[c.key()]
+	if !ok {
+		return v, fmt.Errorf("exp: internal: cell %s not planned", c.key())
+	}
+	return v, nil
+}
+
+// runCells measures the cells through the runner, each distinct key
+// once, under the characterization fingerprint.
+func runCells[T any, C cell[T]](o CharOptions, label string, cells []C) (results[T], error) {
+	m := runner.NewMatrix[T]()
+	for _, c := range cells {
+		m.Add(c.key(), func(runner.Ctx) (T, error) {
+			v, err := c.measure(o)
+			if err != nil {
+				return v, fmt.Errorf("exp: %s: %w", c.key(), err)
+			}
+			return v, nil
+		})
+	}
+	ropt, err := o.runnerOptions(label)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int]characterize.RowMeasurement, len(res.Rows))
-	for _, r := range res.Rows {
-		out[r.LogicalRow] = r
-	}
-	return out, nil
+	return runner.Run(ropt, m.Jobs())
 }
 
-// normalizedPerRow returns per-row NRH and BER at factor normalized to
-// the same row's nominal values (rows with nominal NoBitflips are
-// skipped; NRH ratio 0 encodes retention failures).
-func normalizedPerRow(run charRun, m *chips.ModuleData, factor float64, npr int, temp float64) (nrhRatios, berRatios []float64, err error) {
-	nom, err := run(m, 1.0, 1, temp)
+// platform builds a fresh test platform for m at 80 C and selects the
+// rows to test, for the Half-Double and retention cells (Algorithm 1
+// cells build theirs inside characterize.MeasureModule).
+func (o CharOptions) platform(m *chips.ModuleData) (*bender.Platform, []int, error) {
+	pl, err := bender.New(m.NewChip(o.deviceOptions()), o.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	red, err := moduleSweep(run, m, factor, npr, temp)
+	pl.SetTemperature(80)
+	return pl, characterize.SelectRows(pl, o.Rows), nil
+}
+
+// charPoint is one Algorithm 1 measurement of a module: charge
+// restoration latency as a fraction of nominal tRAS, the count of
+// consecutive partial restorations, and the temperature.
+type charPoint struct {
+	mod    *chips.ModuleData
+	factor float64
+	npr    int
+	temp   float64
+}
+
+func (p charPoint) key() string {
+	return fmt.Sprintf("char/%s/f%.4f/npr%d/t%g", p.mod.Info.ID, p.factor, p.npr, p.temp)
+}
+
+func (p charPoint) measure(o CharOptions) (characterize.ModuleResult, error) {
+	return characterize.MeasureModule(p.mod, o.deviceOptions(), p.factor, p.npr, p.temp, o.Rows, o.config())
+}
+
+// nominal is the anchor p is normalized to: the same module and
+// temperature at full tRAS with one restoration.
+func (p charPoint) nominal() charPoint { return charPoint{p.mod, 1.0, 1, p.temp} }
+
+// grid lists every module x factor x restoration count x temperature.
+func grid(mods []*chips.ModuleData, factors []float64, nprs []int, temps ...float64) []charPoint {
+	var out []charPoint
+	for _, m := range mods {
+		for _, temp := range temps {
+			for _, f := range factors {
+				for _, npr := range nprs {
+					out = append(out, charPoint{m, f, npr, temp})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// measurePoints runs the points, each with its nominal anchor.
+func (o CharOptions) measurePoints(label string, points []charPoint) (results[characterize.ModuleResult], error) {
+	cells := make([]charPoint, 0, 2*len(points))
+	for _, p := range points {
+		cells = append(cells, p.nominal(), p)
+	}
+	return runCells(o, label, cells)
+}
+
+// rowPairs calls fn with each row's measurements at p's nominal anchor
+// and at p, skipping rows without a nominal NRH.
+func rowPairs(res results[characterize.ModuleResult], p charPoint, fn func(nom, at characterize.RowMeasurement)) error {
+	nom, err := res.at(p.nominal())
 	if err != nil {
-		return nil, nil, err
+		return err
+	}
+	red, err := res.at(p)
+	if err != nil {
+		return err
+	}
+	byRow := make(map[int]characterize.RowMeasurement, len(red.Rows))
+	for _, r := range red.Rows {
+		byRow[r.LogicalRow] = r
 	}
 	for _, n := range nom.Rows {
-		r, ok := red[n.LogicalRow]
+		r, ok := byRow[n.LogicalRow]
 		if !ok || n.NoBitflips || n.NRH == 0 {
 			continue
 		}
-		nrhRatios = append(nrhRatios, float64(r.NRH)/float64(n.NRH))
-		if n.BER > 0 {
-			berRatios = append(berRatios, r.BER/n.BER)
-		}
+		fn(n, r)
 	}
-	return nrhRatios, berRatios, nil
+	return nil
+}
+
+// normalizedPerRow returns per-row NRH and BER at p normalized to the
+// same row's values at p's nominal anchor (NRH ratio 0 encodes
+// retention failures).
+func normalizedPerRow(res results[characterize.ModuleResult], p charPoint) (nrhRatios, berRatios []float64, err error) {
+	err = rowPairs(res, p, func(nom, at characterize.RowMeasurement) {
+		nrhRatios = append(nrhRatios, float64(at.NRH)/float64(nom.NRH))
+		if nom.BER > 0 {
+			berRatios = append(berRatios, at.BER/nom.BER)
+		}
+	})
+	return nrhRatios, berRatios, err
+}
+
+// lowestNRH returns the lowest NRH at p (any is false when no sampled
+// row flips) and its ratio to the lowest NRH at p's nominal anchor (0
+// when either shows no bitflips).
+func lowestNRH(res results[characterize.ModuleResult], p charPoint) (lowest int, ratio float64, any bool, err error) {
+	nom, err := res.at(p.nominal())
+	if err != nil {
+		return 0, 0, false, err
+	}
+	at, err := res.at(p)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	lowest, any = at.LowestNRH()
+	if nomLowest, nomAny := nom.LowestNRH(); any && nomAny && nomLowest > 0 {
+		ratio = float64(lowest) / float64(nomLowest)
+	}
+	return lowest, ratio, any, nil
+}
+
+// hdPoint is one Half-Double measurement of Fig. 13, at 80 C.
+type hdPoint struct {
+	mod    *chips.ModuleData
+	factor float64
+	npr    int
+}
+
+func (p hdPoint) key() string {
+	return fmt.Sprintf("fig13/%s/f%.4f/npr%d", p.mod.Info.ID, p.factor, p.npr)
+}
+
+func (p hdPoint) measure(o CharOptions) (characterize.HalfDoubleResult, error) {
+	pl, rows, err := o.platform(p.mod)
+	if err != nil {
+		return characterize.HalfDoubleResult{}, err
+	}
+	return characterize.MeasureHalfDoubleModule(pl, p.mod.Info.ID, rows, p.factor, p.npr,
+		characterize.DefaultHalfDoubleConfig(), o.config())
+}
+
+// retPoint is one data-retention measurement of Fig. 14, at 80 C.
+type retPoint struct {
+	mod      *chips.ModuleData
+	factor   float64
+	restores int
+	waitMs   float64
+}
+
+func (p retPoint) key() string {
+	return fmt.Sprintf("fig14/%s/f%.4f/r%d/w%g", p.mod.Info.ID, p.factor, p.restores, p.waitMs)
+}
+
+func (p retPoint) measure(o CharOptions) (characterize.RetentionResult, error) {
+	pl, rows, err := o.platform(p.mod)
+	if err != nil {
+		return characterize.RetentionResult{}, err
+	}
+	return characterize.MeasureRetentionModule(pl, p.mod.Info.ID, rows, p.factor, p.restores, p.waitMs)
 }
 
 // Table1 regenerates the tested-chip inventory.
@@ -236,39 +338,52 @@ func addBox(t *Table, prefix []interface{}, s stats.Summary) {
 // Fig6 measures normalized NRH vs restoration latency per manufacturer
 // (box plots over all tested rows).
 func Fig6(o CharOptions) (*Table, error) {
-	t := &Table{
+	return mfrBoxes(o, &Table{
 		ID:      "fig6",
 		Title:   "NRH vs charge restoration latency, per manufacturer (paper Fig. 6)",
 		Columns: append([]string{"mfr", "factor"}, boxCols...),
-	}
+	}, []int{1}, func(nrh, _ []float64) []float64 { return nrh })
+}
+
+// mfrBoxes builds the per-manufacturer box plots of Figs. 6, 9 and 11:
+// per factor and restoration count, one box over the ratios pick
+// selects (NRH or BER) of every tested row of the manufacturer's
+// modules. A sweep over more than one restoration count gets a column
+// for it.
+func mfrBoxes(o CharOptions, t *Table, restores []int, pick func(nrh, ber []float64) []float64) (*Table, error) {
 	mods, err := o.modules()
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "fig6", func(t *Table, run charRun) error {
-		for _, mfr := range chips.Mfrs() {
-			for _, f := range chips.Factors {
+	mods = withBitflips(mods)
+	res, err := o.measurePoints(t.ID, grid(mods, chips.Factors[:], restores, 80))
+	if err != nil {
+		return nil, err
+	}
+	for _, mfr := range chips.Mfrs() {
+		for _, f := range chips.Factors {
+			for _, npr := range restores {
 				var all []float64
 				for _, m := range mods {
-					if m.Info.Mfr != mfr || m.NoBitflips {
+					if m.Info.Mfr != mfr {
 						continue
 					}
-					nrh, _, err := normalizedPerRow(run, m, f, 1, 80)
+					nrh, ber, err := normalizedPerRow(res, charPoint{m, f, npr, 80})
 					if err != nil {
-						return err
+						return nil, err
 					}
-					all = append(all, nrh...)
+					all = append(all, pick(nrh, ber)...)
 				}
 				if len(all) == 0 {
 					continue
 				}
-				addBox(t, []interface{}{string(mfr), f}, stats.Summarize(all))
+				prefix := []interface{}{string(mfr), f}
+				if len(restores) > 1 {
+					prefix = append(prefix, npr)
+				}
+				addBox(t, prefix, stats.Summarize(all))
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return t, nil
 }
@@ -284,35 +399,21 @@ func Fig7(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "fig7", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			if m.NoBitflips {
-				continue
-			}
-			var nomLowest int
-			for i, f := range chips.Factors {
-				res, err := run(m, f, 1, 80)
-				if err != nil {
-					return err
-				}
-				lowest, any := res.LowestNRH()
-				if !any {
-					continue
-				}
-				if i == 0 {
-					nomLowest = lowest
-				}
-				norm := 0.0
-				if nomLowest > 0 {
-					norm = float64(lowest) / float64(nomLowest)
-				}
-				t.AddRow(string(m.Info.Mfr), m.Info.ID, f, lowest, norm)
-			}
-		}
-		return nil
-	})
+	mods = withBitflips(mods)
+	res, err := o.measurePoints("fig7", grid(mods, chips.Factors[:], []int{1}, 80))
 	if err != nil {
 		return nil, err
+	}
+	for _, m := range mods {
+		for _, f := range chips.Factors {
+			lowest, ratio, any, err := lowestNRH(res, charPoint{m, f, 1, 80})
+			if err != nil {
+				return nil, err
+			}
+			if any {
+				t.AddRow(string(m.Info.Mfr), m.Info.ID, f, lowest, ratio)
+			}
+		}
 	}
 	return t, nil
 }
@@ -329,69 +430,29 @@ func Fig8(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "fig8", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			nom, err := run(m, 1.0, 1, 80)
-			if err != nil {
-				return err
-			}
-			red, err := moduleSweep(run, m, 0.45, 1, 80)
-			if err != nil {
-				return err
-			}
-			for _, n := range nom.Rows {
-				r, ok := red[n.LogicalRow]
-				if !ok || n.NoBitflips || n.NRH == 0 {
-					continue
-				}
-				t.AddRow(m.Info.ID, n.LogicalRow, n.NRH, float64(r.NRH)/float64(n.NRH))
-			}
-		}
-		return nil
-	})
+	points := grid(mods, []float64{0.45}, []int{1}, 80)
+	res, err := o.measurePoints("fig8", points)
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range points {
+		err := rowPairs(res, p, func(nom, at characterize.RowMeasurement) {
+			t.AddRow(p.mod.Info.ID, nom.LogicalRow, nom.NRH, float64(at.NRH)/float64(nom.NRH))
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
 
 // Fig9 measures normalized BER vs restoration latency per manufacturer.
 func Fig9(o CharOptions) (*Table, error) {
-	t := &Table{
+	return mfrBoxes(o, &Table{
 		ID:      "fig9",
 		Title:   "RowHammer BER vs charge restoration latency, per manufacturer (paper Fig. 9)",
 		Columns: append([]string{"mfr", "factor"}, boxCols...),
-	}
-	mods, err := o.modules()
-	if err != nil {
-		return nil, err
-	}
-	err = o.sweep(t, "fig9", func(t *Table, run charRun) error {
-		for _, mfr := range chips.Mfrs() {
-			for _, f := range chips.Factors {
-				var all []float64
-				for _, m := range mods {
-					if m.Info.Mfr != mfr || m.NoBitflips {
-						continue
-					}
-					_, ber, err := normalizedPerRow(run, m, f, 1, 80)
-					if err != nil {
-						return err
-					}
-					all = append(all, ber...)
-				}
-				if len(all) == 0 {
-					continue
-				}
-				addBox(t, []interface{}{string(mfr), f}, stats.Summarize(all))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, []int{1}, func(_, ber []float64) []float64 { return ber })
 }
 
 // Fig10 repeats the NRH and BER sweeps at 50, 65 and 80 C.
@@ -407,70 +468,34 @@ func Fig10(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "fig10", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			for _, temp := range []float64{50, 65, 80} {
-				for _, f := range chips.Factors {
-					nrh, ber, err := normalizedPerRow(run, m, f, 1, temp)
-					if err != nil {
-						return err
-					}
-					if len(nrh) > 0 {
-						addBox(t, []interface{}{string(m.Info.Mfr), "NRH", temp, f}, stats.Summarize(nrh))
-					}
-					if len(ber) > 0 {
-						addBox(t, []interface{}{string(m.Info.Mfr), "BER", temp, f}, stats.Summarize(ber))
-					}
-				}
-			}
-		}
-		return nil
-	})
+	points := grid(mods, chips.Factors[:], []int{1}, 50, 65, 80)
+	res, err := o.measurePoints("fig10", points)
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range points {
+		nrh, ber, err := normalizedPerRow(res, p)
+		if err != nil {
+			return nil, err
+		}
+		mfr := string(p.mod.Info.Mfr)
+		if len(nrh) > 0 {
+			addBox(t, []interface{}{mfr, "NRH", p.temp, p.factor}, stats.Summarize(nrh))
+		}
+		if len(ber) > 0 {
+			addBox(t, []interface{}{mfr, "BER", p.temp, p.factor}, stats.Summarize(ber))
+		}
 	}
 	return t, nil
 }
 
 // Fig11 measures NRH under 1-5 consecutive partial restorations.
 func Fig11(o CharOptions) (*Table, error) {
-	t := &Table{
+	return mfrBoxes(o, &Table{
 		ID:      "fig11",
 		Title:   "NRH vs repeated partial charge restoration (paper Fig. 11)",
 		Columns: append([]string{"mfr", "factor", "restorations"}, boxCols...),
-	}
-	mods, err := o.modules()
-	if err != nil {
-		return nil, err
-	}
-	err = o.sweep(t, "fig11", func(t *Table, run charRun) error {
-		for _, mfr := range chips.Mfrs() {
-			for _, f := range chips.Factors {
-				for npr := 1; npr <= 5; npr++ {
-					var all []float64
-					for _, m := range mods {
-						if m.Info.Mfr != mfr || m.NoBitflips {
-							continue
-						}
-						nrh, _, err := normalizedPerRow(run, m, f, npr, 80)
-						if err != nil {
-							return err
-						}
-						all = append(all, nrh...)
-					}
-					if len(all) == 0 {
-						continue
-					}
-					addBox(t, []interface{}{string(mfr), f, npr}, stats.Summarize(all))
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, []int{1, 2, 3, 4, 5}, func(nrh, _ []float64) []float64 { return nrh })
 }
 
 // fig12Restores is the paper's sweep of consecutive restorations.
@@ -488,23 +513,19 @@ func Fig12(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "fig12", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			for _, npr := range fig12Restores {
-				nrh, _, err := normalizedPerRow(run, m, 0.36, npr, 80)
-				if err != nil {
-					return err
-				}
-				if len(nrh) == 0 {
-					continue
-				}
-				addBox(t, []interface{}{m.Info.ID, npr}, stats.Summarize(nrh))
-			}
-		}
-		return nil
-	})
+	points := grid(mods, []float64{0.36}, fig12Restores, 80)
+	res, err := o.measurePoints("fig12", points)
 	if err != nil {
 		return nil, err
+	}
+	for _, p := range points {
+		nrh, _, err := normalizedPerRow(res, p)
+		if err != nil {
+			return nil, err
+		}
+		if len(nrh) > 0 {
+			addBox(t, []interface{}{p.mod.Info.ID, p.npr}, stats.Summarize(nrh))
+		}
 	}
 	return t, nil
 }
@@ -521,50 +542,24 @@ func Fig13(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hd := characterize.DefaultHalfDoubleConfig()
-	cfg := o.config()
-
-	// Half-Double points carry their own result type, so Fig13 plans
-	// its matrix directly: one job per (module, factor, npr), each
-	// building its own platform (measurements are closed-form per row,
-	// so an isolated platform reproduces the shared-platform results).
-	key := func(m *chips.ModuleData, f float64, npr int) string {
-		return fmt.Sprintf("fig13/%s/f%.4f/npr%d", m.Info.ID, f, npr)
-	}
-	m13 := runner.NewMatrix[characterize.HalfDoubleResult]()
+	var points []hdPoint
 	for _, m := range mods {
 		for _, f := range chips.Factors {
 			for npr := 1; npr <= 5; npr++ {
-				m13.Add(key(m, f, npr), func(runner.Ctx) (characterize.HalfDoubleResult, error) {
-					pl, err := bender.New(m.NewChip(o.deviceOptions()), o.Seed)
-					if err != nil {
-						return characterize.HalfDoubleResult{}, err
-					}
-					pl.SetTemperature(80)
-					rows := characterize.SelectRows(pl, o.Rows)
-					return characterize.MeasureHalfDoubleModule(pl, m.Info.ID, rows, f, npr, hd, cfg)
-				})
+				points = append(points, hdPoint{m, f, npr})
 			}
 		}
 	}
-	ropt, err := o.runnerOptions("fig13")
+	res, err := runCells(o, "fig13", points)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runner.Run(ropt, m13.Jobs())
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range mods {
-		for _, f := range chips.Factors {
-			for npr := 1; npr <= 5; npr++ {
-				res, ok := results[key(m, f, npr)]
-				if !ok {
-					return nil, fmt.Errorf("exp: internal: cell %q not planned", key(m, f, npr))
-				}
-				t.AddRow(m.Info.ID, f, npr, res.RowsTested, res.RowsFlipped, res.PercentFlipped())
-			}
+	for _, p := range points {
+		r, err := res.at(p)
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow(p.mod.Info.ID, p.factor, p.npr, r.RowsTested, r.RowsFlipped, r.PercentFlipped())
 	}
 	return t, nil
 }
@@ -584,52 +579,26 @@ func Fig14(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	fig14Factors := []float64{1.0, 0.81, 0.64, 0.45, 0.36, 0.27}
-	fig14Restores := []int{1, 10}
-
-	// Like Fig13: a dedicated matrix over (module, factor, restores,
-	// wait) with one platform per job.
-	key := func(m *chips.ModuleData, f float64, restores int, wait float64) string {
-		return fmt.Sprintf("fig14/%s/f%.4f/r%d/w%g", m.Info.ID, f, restores, wait)
-	}
-	m14 := runner.NewMatrix[characterize.RetentionResult]()
+	var points []retPoint
 	for _, m := range mods {
-		for _, f := range fig14Factors {
-			for _, restores := range fig14Restores {
+		for _, f := range []float64{1.0, 0.81, 0.64, 0.45, 0.36, 0.27} {
+			for _, restores := range []int{1, 10} {
 				for _, wait := range fig14Waits {
-					m14.Add(key(m, f, restores, wait), func(runner.Ctx) (characterize.RetentionResult, error) {
-						pl, err := bender.New(m.NewChip(o.deviceOptions()), o.Seed)
-						if err != nil {
-							return characterize.RetentionResult{}, err
-						}
-						pl.SetTemperature(80)
-						rows := characterize.SelectRows(pl, o.Rows)
-						return characterize.MeasureRetentionModule(pl, m.Info.ID, rows, f, restores, wait)
-					})
+					points = append(points, retPoint{m, f, restores, wait})
 				}
 			}
 		}
 	}
-	ropt, err := o.runnerOptions("fig14")
+	res, err := runCells(o, "fig14", points)
 	if err != nil {
 		return nil, err
 	}
-	results, err := runner.Run(ropt, m14.Jobs())
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range mods {
-		for _, f := range fig14Factors {
-			for _, restores := range fig14Restores {
-				for _, wait := range fig14Waits {
-					res, ok := results[key(m, f, restores, wait)]
-					if !ok {
-						return nil, fmt.Errorf("exp: internal: cell %q not planned", key(m, f, restores, wait))
-					}
-					t.AddRow(string(m.Info.Mfr), m.Info.ID, f, restores, wait, res.FailFraction())
-				}
-			}
+	for _, p := range points {
+		r, err := res.at(p)
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow(string(p.mod.Info.Mfr), p.mod.Info.ID, p.factor, p.restores, p.waitMs, r.FailFraction())
 	}
 	return t, nil
 }
@@ -649,46 +618,40 @@ func Fig4(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tm := ddr.DDR4()
-	err = o.sweep(t, "fig4", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			// Nominal lowest NRH.
-			nomRes, err := run(m, 1.0, 1, 80)
-			if err != nil {
-				return err
-			}
-			nomLowest, any := nomRes.LowestNRH()
-			if !any || nomLowest == 0 {
-				continue
-			}
-			nomLatency := tm.TRAS + tm.TRP
-			for _, f := range chips.Factors {
-				res, err := run(m, f, 1, 80)
-				if err != nil {
-					return err
-				}
-				lowest, any := res.LowestNRH()
-				if !any {
-					continue
-				}
-				latency := (f*tm.TRAS + tm.TRP) / nomLatency
-				ratio := float64(lowest) / float64(nomLowest)
-				if ratio == 0 {
-					t.AddRow(m.Info.ID, f, latency, 0.0, "inf", "inf", "inf")
-					continue
-				}
-				count := 1 / ratio
-				totalTime := count * latency
-				// Energy per refresh ~ base + restoration-time term.
-				e := energy.Default()
-				ePerRef := (e.ActPreBaseNJ + e.RestorePerNsNJ*f*tm.TRAS) / (e.ActPreBaseNJ + e.RestorePerNsNJ*tm.TRAS)
-				t.AddRow(m.Info.ID, f, latency, ratio, count, totalTime, count*ePerRef)
-			}
-		}
-		return nil
-	})
+	res, err := o.measurePoints("fig4", grid(mods, chips.Factors[:], []int{1}, 80))
 	if err != nil {
 		return nil, err
+	}
+	tm := ddr.DDR4()
+	nomLatency := tm.TRAS + tm.TRP
+	for _, m := range mods {
+		nomRes, err := res.at(charPoint{m, 1.0, 1, 80})
+		if err != nil {
+			return nil, err
+		}
+		if nomLowest, any := nomRes.LowestNRH(); !any || nomLowest == 0 {
+			continue
+		}
+		for _, f := range chips.Factors {
+			_, ratio, any, err := lowestNRH(res, charPoint{m, f, 1, 80})
+			if err != nil {
+				return nil, err
+			}
+			if !any {
+				continue
+			}
+			latency := (f*tm.TRAS + tm.TRP) / nomLatency
+			if ratio == 0 {
+				t.AddRow(m.Info.ID, f, latency, 0.0, "inf", "inf", "inf")
+				continue
+			}
+			count := 1 / ratio
+			totalTime := count * latency
+			// Energy per refresh ~ base + restoration-time term.
+			e := energy.Default()
+			ePerRef := (e.ActPreBaseNJ + e.RestorePerNsNJ*f*tm.TRAS) / (e.ActPreBaseNJ + e.RestorePerNsNJ*tm.TRAS)
+			t.AddRow(m.Info.ID, f, latency, ratio, count, totalTime, count*ePerRef)
+		}
 	}
 	return t, nil
 }
@@ -706,36 +669,24 @@ func Table3(o CharOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = o.sweep(t, "table3", func(t *Table, run charRun) error {
-		for _, m := range mods {
-			if m.NoBitflips {
-				t.AddRow(m.Info.ID, 1.0, "no bitflips", "-", "-", "-")
-				continue
+	res, err := o.measurePoints("table3", grid(withBitflips(mods), chips.Factors[:], []int{1}, 80))
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range mods {
+		if m.NoBitflips {
+			t.AddRow(m.Info.ID, 1.0, "no bitflips", "-", "-", "-")
+			continue
+		}
+		for i, f := range chips.Factors {
+			lowest, ratio, any, err := lowestNRH(res, charPoint{m, f, 1, 80})
+			if err != nil {
+				return nil, err
 			}
-			var nomLowest int
-			for i, f := range chips.Factors {
-				res, err := run(m, f, 1, 80)
-				if err != nil {
-					return err
-				}
-				lowest, any := res.LowestNRH()
-				if !any {
-					continue
-				}
-				if i == 0 {
-					nomLowest = lowest
-				}
-				ratio := 0.0
-				if nomLowest > 0 {
-					ratio = float64(lowest) / float64(nomLowest)
-				}
+			if any {
 				t.AddRow(m.Info.ID, f, lowest, ratio, m.NRHRatio[i], math.Abs(ratio-m.NRHRatio[i]))
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return t, nil
 }

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"encoding/csv"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,6 +74,96 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(csv.String(), "one,1.5000") {
 		t.Fatalf("csv body wrong: %q", csv.String())
+	}
+}
+
+// TestWriteCSVRoundTrip reads WriteCSV's output back with
+// encoding/csv: every table, including cells with commas, quotes, line
+// breaks and leading spaces, must come back as exactly its columns and
+// rows.
+func TestWriteCSVRoundTrip(t *testing.T) {
+	co := tinyChar()
+	co.Rows = 12
+	takeaways, err := Takeaways(co, tinySys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tricky := &Table{ID: "tricky", Columns: []string{"name", "value, unit"}}
+	tricky.AddRow(`say "hi"`, "two\nlines")
+	tricky.AddRow(" leading space", "")
+	for _, tbl := range []*Table{takeaways, AreaReport(), tricky} {
+		var buf bytes.Buffer
+		if err := tbl.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := csv.NewReader(&buf).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: CSV does not parse: %v", tbl.ID, err)
+		}
+		want := append([][]string{tbl.Columns}, tbl.Rows...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CSV read back as\n%q\nwant\n%q", tbl.ID, got, want)
+		}
+	}
+}
+
+// checkGolden compares got with the committed golden file, naming the
+// first line that differs.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s: line %d differs:\n got %q\nwant %q", path, i+1, g[i], w[i])
+		}
+	}
+	t.Fatalf("%s: got %d lines, want %d", path, len(g), len(w))
+}
+
+// TestCharacterizationGolden renders every characterization table at
+// the default scale, in `characterize -exp all` order, and compares the
+// bytes with that command's golden output.
+func TestCharacterizationGolden(t *testing.T) {
+	o := DefaultCharOptions()
+	var buf bytes.Buffer
+	for _, build := range []func(CharOptions) (*Table, error){
+		Table1, Fig4, Fig6, Fig7, Fig8, Fig9, Fig10, Fig11, Fig12, Fig13, Fig14, Table3,
+	} {
+		tbl, err := build(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.WriteString(render(t, tbl))
+	}
+	buf.WriteString(render(t, Profiling()))
+	checkGolden(t, "testdata/characterize.golden", buf.String())
+}
+
+// TestTakeawaysGolden compares the default-scale takeaways table with
+// `simulate -exp takeaways`'s golden output.
+func TestTakeawaysGolden(t *testing.T) {
+	tbl, err := Takeaways(DefaultCharOptions(), DefaultSysOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "testdata/takeaways.golden", render(t, tbl))
+}
+
+// TestModulesRejectsDuplicates: a module listed twice would count its
+// rows twice in every pooled figure, so it is an error naming the ID.
+func TestModulesRejectsDuplicates(t *testing.T) {
+	o := tinyChar()
+	o.Modules = []string{"H5", "M2", "H5"}
+	_, err := Fig6(o)
+	if err == nil || !strings.Contains(err.Error(), "H5") {
+		t.Fatalf("Fig6 with H5 listed twice: err = %v, want an error naming H5", err)
 	}
 }
 

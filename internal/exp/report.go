@@ -5,11 +5,14 @@
 // table are scenario specs; SysOptions is the scale cmd/simulate's
 // flags give them (see scenario.FigureSpec). The experiment index,
 // with the command and expected runtime per figure, lives in the
-// top-level README.md. Sweep execution (worker pool, caching,
-// progress) is delegated to internal/runner.
+// top-level README.md. Each characterization driver lists its sweep
+// points once, runs them through internal/runner (worker pool,
+// caching, progress) in one call, and builds its table from the
+// results.
 package exp
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -100,16 +103,13 @@ func (t *Table) Fprint(w io.Writer) error {
 	return err
 }
 
-// WriteCSV renders the table as CSV (simple quoting: cells are
-// controlled strings without commas or quotes).
+// WriteCSV renders the table as CSV (encoding/csv): a cell is quoted
+// only when it holds a comma, a quote, a line break or a leading space,
+// so tables of plain names and numbers keep their unquoted bytes.
 func (t *Table) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(t.Columns, ",")); err != nil {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Columns); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
+	return cw.WriteAll(t.Rows)
 }

@@ -3,9 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"pacram/internal/bender"
-	"pacram/internal/characterize"
-	"pacram/internal/chips"
 	pacram "pacram/internal/core"
 	"pacram/internal/mitigation"
 	"pacram/internal/sim"
@@ -22,30 +19,24 @@ func Takeaways(co CharOptions, so SysOptions) (*Table, error) {
 		Columns: []string{"takeaway", "paper statement", "measured evidence", "holds"},
 	}
 
-	meas := func(id string, factor float64, npr int, temp float64) (float64, error) {
-		m, err := chips.ByID(id)
-		if err != nil {
-			return 0, err
-		}
-		res, err := characterize.MeasureModule(m, co.deviceOptions(), factor, npr, temp, co.Rows, co.config())
-		if err != nil {
-			return 0, err
-		}
-		nom, err := characterize.MeasureModule(m, co.deviceOptions(), 1.0, 1, temp, co.Rows, co.config())
-		if err != nil {
-			return 0, err
-		}
-		lo, any := res.LowestNRH()
-		loNom, anyNom := nom.LowestNRH()
-		if !any || !anyNom || loNom == 0 {
-			return 0, nil
-		}
-		return float64(lo) / float64(loNom), nil
+	// The takeaways name their modules, whatever co.Modules says.
+	mods, err := CharOptions{}.modules("H5", "M2", "S6", "H7")
+	if err != nil {
+		return nil, err
+	}
+	h5, m2, s6, h7 := mods[0], mods[1], mods[2], mods[3]
+	t1 := charPoint{h5, 0.36, 1, 80}
+	t2 := charPoint{m2, 0.27, 1, 80}
+	t4cold, t4hot := charPoint{s6, 0.45, 1, 50}, charPoint{s6, 0.45, 1, 80}
+	t5 := charPoint{h7, 0.36, 15000, 80}
+	res, err := co.measurePoints("takeaways", []charPoint{t1, t2, t4cold, t4hot, t5})
+	if err != nil {
+		return nil, err
 	}
 
 	// T1: charge restoration latency can be reduced to a safe minimum
 	// without affecting NRH.
-	r, err := meas("H5", 0.36, 1, 80)
+	_, r, _, err := lowestNRH(res, t1)
 	if err != nil {
 		return nil, err
 	}
@@ -53,27 +44,36 @@ func Takeaways(co CharOptions, so SysOptions) (*Table, error) {
 		fmt.Sprintf("H5 lowest NRH at 0.36 tRAS = %.2fx nominal", r), verdict(r >= 0.95))
 
 	// T2: ...without significantly affecting the lowest observed NRH.
-	r, err = meas("M2", 0.27, 1, 80)
+	_, r, _, err = lowestNRH(res, t2)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("T2", "lowest observed NRH robust at mfr-specific safe latencies",
 		fmt.Sprintf("M2 lowest NRH at 0.27 tRAS = %.2fx nominal", r), verdict(r >= 0.97))
 
-	// T3: BER does not grow significantly at the safe minimum.
-	berRatio, err := berAt(co, "H5", 0.36)
+	// T3: BER does not grow significantly at the safe minimum (mean
+	// per-row BER normalized to nominal).
+	_, bers, err := normalizedPerRow(res, t1)
 	if err != nil {
 		return nil, err
 	}
+	if len(bers) == 0 {
+		return nil, fmt.Errorf("exp: no BER samples for H5")
+	}
+	berRatio := 0.0
+	for _, b := range bers {
+		berRatio += b
+	}
+	berRatio /= float64(len(bers))
 	t.AddRow("T3", "BER not significantly increased at the safe minimum",
 		fmt.Sprintf("H5 mean BER at 0.36 tRAS = %.2fx nominal", berRatio), verdict(berRatio <= 1.05))
 
 	// T4: temperature does not change the effect.
-	cold, err := meas("S6", 0.45, 1, 50)
+	_, cold, _, err := lowestNRH(res, t4cold)
 	if err != nil {
 		return nil, err
 	}
-	hot, err := meas("S6", 0.45, 1, 80)
+	_, hot, _, err := lowestNRH(res, t4hot)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +85,25 @@ func Takeaways(co CharOptions, so SysOptions) (*Table, error) {
 		fmt.Sprintf("S6@0.45 normalized NRH differs by %.3f between 50C and 80C", diff), verdict(diff <= 0.05))
 
 	// T5: reduced latency is safe for many consecutive refreshes.
-	r, err = meas("H7", 0.36, 15000, 80)
+	_, r, _, err = lowestNRH(res, t5)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("T5", "reduced latency safe for many consecutive preventive refreshes",
 		fmt.Sprintf("H7 lowest NRH after 15K restores at 0.36 tRAS = %.2fx nominal", r), verdict(r >= 0.95))
 
-	// T6: no data-retention failures at the safe minimum.
-	frac, err := retentionAt(co, "S6", 0.45)
+	// T6: no data-retention failures at the safe minimum (one restore,
+	// 64 ms: Fig. 14's cell).
+	retention := retPoint{s6, 0.45, 1, 64}
+	ret, err := runCells(co, "takeaways", []retPoint{retention})
 	if err != nil {
 		return nil, err
 	}
+	rr, err := ret.at(retention)
+	if err != nil {
+		return nil, err
+	}
+	frac := rr.FailFraction()
 	t.AddRow("T6", "no retention failures at the safe minimum within tREFW",
 		fmt.Sprintf("S6 retention-failure fraction at 0.45 tRAS, 64ms = %.3f", frac), verdict(frac == 0))
 
@@ -116,11 +123,7 @@ func Takeaways(co CharOptions, so SysOptions) (*Table, error) {
 		o.Seed = so.Seed
 		return sim.Run(o)
 	}
-	mod, err := chips.ByID("H5")
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := pacram.Derive(mod, 4, 64, sim.SmallMemConfig().Timing)
+	cfg, err := pacram.Derive(h5, 4, 64, sim.SmallMemConfig().Timing)
 	if err != nil {
 		return nil, err
 	}
@@ -146,45 +149,4 @@ func verdict(ok bool) string {
 		return "yes"
 	}
 	return "NO"
-}
-
-// berAt returns the mean BER at the given factor normalized to nominal
-// across sampled rows of the module.
-func berAt(co CharOptions, id string, factor float64) (float64, error) {
-	m, err := chips.ByID(id)
-	if err != nil {
-		return 0, err
-	}
-	_, bers, err := normalizedPerRow(co.serialCharRun(), m, factor, 1, 80)
-	if err != nil {
-		return 0, err
-	}
-	if len(bers) == 0 {
-		return 0, fmt.Errorf("exp: no BER samples for %s", id)
-	}
-	sum := 0.0
-	for _, b := range bers {
-		sum += b
-	}
-	return sum / float64(len(bers)), nil
-}
-
-// retentionAt measures the retention-failure fraction at (factor, 64ms,
-// 1 restore).
-func retentionAt(co CharOptions, id string, factor float64) (float64, error) {
-	m, err := chips.ByID(id)
-	if err != nil {
-		return 0, err
-	}
-	pl, err := bender.New(m.NewChip(co.deviceOptions()), co.Seed)
-	if err != nil {
-		return 0, err
-	}
-	pl.SetTemperature(80)
-	rows := characterize.SelectRows(pl, co.Rows)
-	res, err := characterize.MeasureRetentionModule(pl, id, rows, factor, 1, 64)
-	if err != nil {
-		return 0, err
-	}
-	return res.FailFraction(), nil
 }
