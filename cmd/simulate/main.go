@@ -55,7 +55,7 @@ func realMain() error {
 		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
 		cacheDir  = flag.String("cache", "", "cache completed cells as JSON in this directory; re-runs skip them")
-		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL")
+		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL (takeaways ignore it)")
 		quiet     = flag.Bool("quiet", false, "suppress progress/ETA output on stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		profile   = flag.Bool("profile", false, "with -tracefile: attribute simulated work per layer (sim.Options.Profile)")
@@ -164,9 +164,20 @@ func runExperiment(id string, opt exp.SysOptions, ropt scenario.RunOptions) (*ex
 	case "area":
 		return exp.AreaReport(), nil
 	case "takeaways":
-		return exp.Takeaways(exp.DefaultCharOptions(), opt)
+		return exp.Takeaways(takeawaysCharOptions(ropt), opt)
 	}
 	return nil, fmt.Errorf("unknown experiment %q (have: %s)", id, strings.Join(experiments, " "))
+}
+
+// takeawaysCharOptions runs T1-T6 at the default characterization scale
+// with the command's worker count, cache directory and progress writer.
+// CharOptions has no remote store, so -store does not reach them.
+func takeawaysCharOptions(ropt scenario.RunOptions) exp.CharOptions {
+	co := exp.DefaultCharOptions()
+	co.Parallel = ropt.Parallel
+	co.CacheDir = ropt.CacheDir
+	co.Progress = ropt.Progress
+	return co
 }
 
 // runTraceFile replays a trace file on a single core and prints the

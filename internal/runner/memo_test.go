@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"pacram/internal/memsys"
 	"pacram/internal/sim"
 )
 
@@ -30,6 +30,79 @@ func getCellTwoPass(data []byte, fingerprint, key string, out any) (bool, error)
 		return false, fmt.Errorf("cell %s: decoding cached result: %v", key, uerr)
 	}
 	return true, nil
+}
+
+// checkGetCell puts data in a MemStore and reads it under key as a T.
+// GetCell must never panic and must reach the two-pass reference's
+// outcome (hit, error class and message) and, on a hit, its value with
+// every float equal by bits, on the first (decoding) call and on a
+// second call that can reuse a kept value. DecodeCellEnvelope must
+// succeed exactly on the reference's hits, with the same value.
+func checkGetCell[T any](t *testing.T, data []byte, key string) {
+	var want T
+	wantHit, wantErr := getCellTwoPass(data, "fp", key, &want)
+	m := NewMemStore(0)
+	if err := m.Put("h", data); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		var got T
+		hit, err := GetCell(m, "h", "fp", key, &got)
+		if hit != wantHit || (err == nil) != (wantErr == nil) {
+			t.Fatalf("pass %d: GetCell = hit=%v err=%v, reference hit=%v err=%v", pass, hit, err, wantHit, wantErr)
+		}
+		if err != nil {
+			var ce *CellError
+			if !errors.As(err, &ce) {
+				t.Fatalf("pass %d: error %T is not a *CellError", pass, err)
+			}
+			if got := strings.Replace(err.Error(), " at mem:h", "", 1); got != wantErr.Error() {
+				t.Fatalf("pass %d: error %q, reference %q", pass, got, wantErr)
+			}
+		}
+		if hit && !sameBits(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("pass %d: value %+v, reference %+v", pass, got, want)
+		}
+		var zero T
+		if !hit && !reflect.DeepEqual(got, zero) {
+			t.Fatalf("pass %d: a miss wrote out: %+v", pass, got)
+		}
+	}
+	var remote T
+	err := DecodeCellEnvelope(data, "fp", key, &remote)
+	if (err == nil) != wantHit {
+		t.Fatalf("DecodeCellEnvelope err=%v, reference hit=%v err=%v", err, wantHit, wantErr)
+	}
+	if wantHit && !sameBits(reflect.ValueOf(remote), reflect.ValueOf(want)) {
+		t.Fatalf("DecodeCellEnvelope value %+v, reference %+v", remote, want)
+	}
+}
+
+// sameBits reports whether a and b are deeply equal with every float
+// compared by its bits, so -0 and 0 differ.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }
 
 // decodes counts countingResult decodes across the package's tests.
@@ -317,10 +390,8 @@ func TestMemoRacingPut(t *testing.T) {
 	check()
 }
 
-// FuzzGetCell puts arbitrary envelope bytes in a MemStore. GetCell must
-// never panic and must agree with the two-pass reference decoder on the
-// outcome and the value, on the first (decoding) call and on a second
-// call that can reuse a kept value.
+// FuzzGetCell puts arbitrary envelope bytes in a MemStore and reads
+// them as a type with no one-pass decode (checkGetCell).
 func FuzzGetCell(f *testing.F) {
 	type result struct {
 		IPC    []float64
@@ -354,36 +425,7 @@ func FuzzGetCell(f *testing.F) {
 	} {
 		f.Add([]byte(seed.data), seed.key)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, key string) {
-		var want result
-		wantHit, wantErr := getCellTwoPass(data, "fp", key, &want)
-		m := NewMemStore(0)
-		if err := m.Put("h", data); err != nil {
-			t.Fatal(err)
-		}
-		for pass := 0; pass < 2; pass++ {
-			var got result
-			hit, err := GetCell(m, "h", "fp", key, &got)
-			if hit != wantHit || (err == nil) != (wantErr == nil) {
-				t.Fatalf("pass %d: GetCell = hit=%v err=%v, reference hit=%v err=%v", pass, hit, err, wantHit, wantErr)
-			}
-			if err != nil {
-				var ce *CellError
-				if !errors.As(err, &ce) {
-					t.Fatalf("pass %d: error %T is not a *CellError", pass, err)
-				}
-				if got := strings.Replace(err.Error(), " at mem:h", "", 1); got != wantErr.Error() {
-					t.Fatalf("pass %d: error %q, reference %q", pass, got, wantErr)
-				}
-			}
-			if hit && !reflect.DeepEqual(got, want) {
-				t.Fatalf("pass %d: value %+v, reference %+v", pass, got, want)
-			}
-			if !hit && !reflect.DeepEqual(got, result{}) {
-				t.Fatalf("pass %d: a miss wrote out: %+v", pass, got)
-			}
-		}
-	})
+	f.Fuzz(checkGetCell[result])
 }
 
 // BenchmarkGetCell measures one warm hit of a fig17-sized sim.Result
@@ -391,14 +433,8 @@ func FuzzGetCell(f *testing.F) {
 // hits, a first memory-tier hit), and GetCell on a memory tier that
 // keeps one.
 func BenchmarkGetCell(b *testing.B) {
-	res := sim.Result{
-		IPC:    []float64{0.5804504295333178, 0.6423638991488678, 0.25744664418299307, 0.8279345103802289},
-		Cycles: 155372,
-		Stats: memsys.Stats{Cycles: 155372, Acts: 1456, Pres: 1468, Reads: 2059, Writes: 870, Refs: 26,
-			DemandBusy: 149968, RefBusy: 792064, RefRestoreNs: 15463.5, ReadLatencySum: 1147179, ReadCount: 2059},
-	}
-	const key = "mix00@f45b4e59d6d566c7"
-	data, err := EncodeCellEnvelope("scenario:v1", key, res)
+	const key = fig17Key
+	data, err := EncodeCellEnvelope("scenario:v1", key, fig17Result)
 	if err != nil {
 		b.Fatal(err)
 	}

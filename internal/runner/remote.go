@@ -77,8 +77,13 @@ func EncodeCellEnvelope(fingerprint, key string, v any) ([]byte, error) {
 // mismatch is a routine cache miss — a mismatch here is an error: the
 // envelope was produced on request for exactly this cell, so disagreement
 // means a build-skewed or broken worker and the caller must fall back
-// to local compute.
+// to local compute. out should point at a zero value: a result type
+// with a DecodeCell method takes GetCell's one-pass decode, which
+// replaces *out whole where encoding/json would merge into it.
 func DecodeCellEnvelope(data []byte, fingerprint, key string, out any) error {
+	if d, ok := out.(cellDecoder); ok && decodeCellFast(data, fullFingerprint(fingerprint), key, d) {
+		return nil
+	}
 	var e entry
 	if err := json.Unmarshal(data, &e); err != nil {
 		return fmt.Errorf("malformed result envelope: %v", err)

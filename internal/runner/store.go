@@ -1,10 +1,12 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Store is the pluggable result-store contract: content-addressed
@@ -121,6 +123,46 @@ type entry struct {
 	Result      json.RawMessage `json:"result"`
 }
 
+// cellDecoder is implemented by cell result types that decode the
+// exact bytes json.Marshal writes for them without reflection
+// ((*sim.Result).DecodeCell). DecodeCell reports false, leaving its
+// receiver untouched, for any other bytes.
+type cellDecoder interface {
+	DecodeCell(data []byte) bool
+}
+
+// decodeCellFast decodes data into out when data is exactly the
+// envelope EncodeCellEnvelope writes for key under the full fingerprint
+// fp. It compares the envelope's bytes instead of parsing them, and
+// decodes only the result. It reports false, leaving out untouched,
+// for anything else; the caller then runs the two-pass encoding/json
+// decode, which remains the reference for every outcome
+// (FuzzGetCellResult).
+func decodeCellFast(data []byte, fp, key string, out cellDecoder) bool {
+	// json.Marshal writes invalid UTF-8 as U+FFFD, so the expected bytes
+	// of such a key would match an entry stored under another key.
+	if !utf8.ValidString(key) || !utf8.ValidString(fp) {
+		return false
+	}
+	var buf [256]byte
+	prefix := append(buf[:0], `{"key":`...)
+	prefix = appendJSONString(prefix, key)
+	prefix = append(prefix, `,"fingerprint":`...)
+	prefix = appendJSONString(prefix, fp)
+	prefix = append(prefix, `,"result":`...)
+	n := len(prefix)
+	if len(data) <= n || !bytes.Equal(data[:n], prefix) || data[len(data)-1] != '}' {
+		return false
+	}
+	return out.DecodeCell(data[n : len(data)-1])
+}
+
+// appendJSONString appends s as json.Marshal writes it.
+func appendJSONString(dst []byte, s string) []byte {
+	b, _ := json.Marshal(s) // a string always marshals
+	return append(dst, b...)
+}
+
 // CellError is the error type GetCell returns: a store failure or
 // corrupt entry attributed to one cell. The rendered message is
 // unchanged from when these were plain fmt.Errorf values; the struct
@@ -155,6 +197,11 @@ func (e *CellError) Unwrap() error { return e.err }
 // decoded from, and a later hit on those same bytes reuses it without
 // decoding. Such hits share one value: callers treat results as
 // immutable.
+//
+// A result type with a DecodeCell method (sim.Result) is decoded in one
+// strict pass when the bytes are exactly the envelope PutCell writes for
+// this cell; anything else takes the two-pass encoding/json decode,
+// which alone decides between a miss and a *CellError.
 func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error) {
 	data, ok, err := s.Get(hash)
 	if err != nil {
@@ -177,20 +224,22 @@ func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error
 			}
 		}
 	}
-	var e entry
-	if json.Unmarshal(data, &e) != nil {
-		loc := locate(s, hash)
-		return false, &CellError{Cell: key, Location: loc,
-			msg: fmt.Sprintf("cell %s: corrupt cache entry%s", key, at(loc))}
-	}
-	if e.Key != key || e.Fingerprint != fp {
-		return false, nil
-	}
 	var v T
-	if uerr := json.Unmarshal(e.Result, &v); uerr != nil {
-		loc := locate(s, hash)
-		return false, &CellError{Cell: key, Location: loc, err: uerr,
-			msg: fmt.Sprintf("cell %s: decoding cached result%s: %v", key, at(loc), uerr)}
+	if d, ok := any(&v).(cellDecoder); !ok || !decodeCellFast(data, fp, key, d) {
+		var e entry
+		if json.Unmarshal(data, &e) != nil {
+			loc := locate(s, hash)
+			return false, &CellError{Cell: key, Location: loc,
+				msg: fmt.Sprintf("cell %s: corrupt cache entry%s", key, at(loc))}
+		}
+		if e.Key != key || e.Fingerprint != fp {
+			return false, nil
+		}
+		if uerr := json.Unmarshal(e.Result, &v); uerr != nil {
+			loc := locate(s, hash)
+			return false, &CellError{Cell: key, Location: loc, err: uerr,
+				msg: fmt.Sprintf("cell %s: decoding cached result%s: %v", key, at(loc), uerr)}
+		}
 	}
 	if ms != nil {
 		ms.setMemo(hash, data, &cellMemo{key: key, fingerprint: fp, value: v})
@@ -199,13 +248,10 @@ func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error
 	return true, nil
 }
 
-// PutCell stores a computed cell result under hash.
+// PutCell stores a computed cell result under hash, as the envelope
+// EncodeCellEnvelope writes.
 func PutCell(s Store, hash, fingerprint, key string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	data, err := json.Marshal(entry{Key: key, Fingerprint: fullFingerprint(fingerprint), Result: raw})
+	data, err := EncodeCellEnvelope(fingerprint, key, v)
 	if err != nil {
 		return err
 	}
