@@ -1,19 +1,11 @@
 // Command artifact checks the paper's four artifact-evaluation claims
-// (Appendix A.5) against the reproduction, printing PASS/FAIL per
-// claim:
-//
-//	C1.1  Reducing tRAS lowers NRH / raises BER, and beyond a safe
-//	      minimum causes data-retention failures (Figs. 6, 9).
-//	C1.2  Repeated partial charge restoration can cause retention
-//	      failures, so it must be bounded (Fig. 11/12).
-//	C2.1  PaCRAM improves system performance for single-core and
-//	      multi-programmed workloads (Figs. 16, 17).
-//	C2.2  PaCRAM improves system energy efficiency (Fig. 18).
-//
-// All measurement cells run through the internal/runner worker pool:
-// -parallel N bounds the pool (results are bit-identical at any N),
-// and -cache DIR (on by default) persists finished cells so repeated
-// runs skip straight to the verdicts.
+// (Appendix A.5; see exp.ArtifactClaims), printing PASS/FAIL per claim
+// and exiting nonzero on any FAIL. C1 reads S6's characterization
+// points at -rows and -seed; C2 reads the RFM@64 cells of Figs. 17 and
+// 18 (scenario.ClaimFigures) at -insts and -seed. Cells run on the
+// runner pool (-parallel N; results are identical at any N) and are
+// cached in -cache DIR under the keys cmd/characterize and
+// cmd/simulate use.
 //
 // Run with: go run ./cmd/artifact [-rows N] [-insts N] [-parallel N] [-cache DIR]
 package main
@@ -24,213 +16,62 @@ import (
 	"io"
 	"os"
 
-	"pacram/internal/bender"
-	"pacram/internal/characterize"
-	"pacram/internal/chips"
-	pacram "pacram/internal/core"
-	"pacram/internal/mitigation"
-	"pacram/internal/runner"
-	"pacram/internal/sim"
-	"pacram/internal/trace"
+	"pacram/internal/exp"
+	"pacram/internal/scenario"
 )
 
-// rowProbe bundles every per-row measurement the C1 claims need, so
-// one job per victim row covers both claims.
-type rowProbe struct {
-	Nom, Red, Deep characterize.RowMeasurement
-	FailedOnce     bool
-	FailedMany     bool
+func main() {
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func main() {
+// realMain runs the command with args, printing the verdicts to stdout
+// and progress and errors to stderr, and returns the exit code.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("artifact", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	var (
-		rows     = flag.Int("rows", 16, "rows per module for the characterization claims")
-		insts    = flag.Uint64("insts", 40_000, "instructions per core for the system claims")
-		seed     = flag.Uint64("seed", 0x9ac24a, "seed")
-		parallel = flag.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
-		cacheDir = flag.String("cache", ".pacram-cache", "cell cache directory ('' disables caching)")
-		quiet    = flag.Bool("quiet", false, "suppress progress/ETA output on stderr")
+		rows     = fs.Int("rows", 16, "rows per module for the characterization claims")
+		insts    = fs.Uint64("insts", 40_000, "instructions per core for the system claims")
+		seed     = fs.Uint64("seed", 0x9ac24a, "seed")
+		parallel = fs.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
+		cacheDir = fs.String("cache", ".pacram-cache", "cell cache directory ('' disables caching)")
+		quiet    = fs.Bool("quiet", false, "suppress progress/ETA output on stderr")
 	)
-	flag.Parse()
-
+	fs.Parse(args) // exits on a bad flag, as the flag package's defaults do
 	var progress io.Writer
 	if !*quiet {
-		progress = os.Stderr
+		progress = stderr
 	}
-	ropt, err := runner.Options{
-		Workers:     *parallel,
-		Seed:        *seed,
-		Fingerprint: fmt.Sprintf("artifact:v1:rows=%d:insts=%d:seed=%d", *rows, *insts, *seed),
-		Progress:    progress,
-	}.WithStore(*cacheDir, "")
-	must(err)
 
-	probes, sims := runClaims(ropt, *rows, *insts, *seed)
+	co := exp.DefaultCharOptions()
+	co.Rows, co.Seed = *rows, *seed
+	co.Parallel, co.CacheDir, co.Progress = *parallel, *cacheDir, progress
+	so := exp.DefaultSysOptions()
+	so.Instructions, so.Warmup, so.Seed = *insts, *insts/10, *seed
+
+	fig17, fig18, err := scenario.ClaimFigures(so, scenario.RunOptions{Parallel: *parallel, CacheDir: *cacheDir, Progress: progress})
+	var claims []exp.Claim
+	if err == nil {
+		claims, err = exp.ArtifactClaims(co, fig17, fig18)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "artifact:", err)
+		return 1
+	}
 
 	failures := 0
-	check := func(id, desc string, pass bool, detail string) {
+	for _, c := range claims {
 		status := "PASS"
-		if !pass {
+		if !c.Holds {
 			status = "FAIL"
 			failures++
 		}
-		fmt.Printf("[%s] %-4s %s\n       %s\n", status, id, desc, detail)
+		fmt.Fprintf(stdout, "[%s] %-4s %s\n       %s\n", status, c.ID, c.Statement, c.Evidence)
 	}
-
-	// ---- C1.1 -----------------------------------------------------
-	{
-		var nrhNom, nrh045, retZero int
-		var berNom, ber045 float64
-		for _, p := range probes {
-			nrhNom += p.Nom.NRH
-			nrh045 += p.Red.NRH
-			berNom += p.Nom.BER
-			ber045 += p.Red.BER
-			if p.Deep.NRH == 0 {
-				retZero++
-			}
-		}
-		n := len(probes)
-		pass := nrh045 < nrhNom && ber045 > berNom && retZero == n
-		check("C1.1", "reduced tRAS lowers NRH, raises BER; beyond safe minimum retention fails", pass,
-			fmt.Sprintf("S6: mean NRH %d -> %d at 0.45 tRAS; mean BER %.4f -> %.4f; %d/%d rows fail without hammering at 0.18 tRAS",
-				nrhNom/n, nrh045/n, berNom/float64(n), ber045/float64(n), retZero, n))
-	}
-
-	// ---- C1.2 -----------------------------------------------------
-	{
-		failedOnce, failedMany := 0, 0
-		for _, p := range probes {
-			if p.FailedOnce {
-				failedOnce++
-			}
-			if p.FailedMany {
-				failedMany++
-			}
-		}
-		pass := failedOnce == 0 && failedMany > 0
-		check("C1.2", "repeated partial restoration causes failures; a single one does not", pass,
-			fmt.Sprintf("S6 at 0.36 tRAS within 64ms: %d/%d rows fail after 1 restore, %d/%d after 5000",
-				failedOnce, len(probes), failedMany, len(probes)))
-	}
-
-	// ---- C2.1 / C2.2 ----------------------------------------------
-	{
-		s0, s1 := sims["c2/single/nopac"], sims["c2/single/pacram"]
-		m0, m1 := sims["c2/mix/nopac"], sims["c2/mix/pacram"]
-
-		perfPass := s1.IPC[0] > s0.IPC[0] && m1.SumIPC() > m0.SumIPC()
-		check("C2.1", "PaCRAM improves single-core and multi-core performance", perfPass,
-			fmt.Sprintf("RFM@64 + PaCRAM-H: single IPC %.4f -> %.4f (%+.2f%%); mix throughput %.4f -> %.4f (%+.2f%%)",
-				s0.IPC[0], s1.IPC[0], 100*(s1.IPC[0]/s0.IPC[0]-1),
-				m0.SumIPC(), m1.SumIPC(), 100*(m1.SumIPC()/m0.SumIPC()-1)))
-
-		energyPass := s1.Energy.PrevRefresh < s0.Energy.PrevRefresh &&
-			s1.Energy.Total() < s0.Energy.Total()
-		check("C2.2", "PaCRAM improves energy efficiency", energyPass,
-			fmt.Sprintf("preventive-refresh energy %.3g -> %.3g J; total %.3g -> %.3g J",
-				s0.Energy.PrevRefresh, s1.Energy.PrevRefresh,
-				s0.Energy.Total(), s1.Energy.Total()))
-	}
-
 	if failures > 0 {
-		fmt.Printf("\n%d claim(s) FAILED\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "\n%d claim(s) FAILED\n", failures)
+		return 1
 	}
-	fmt.Println("\nall claims PASS")
-}
-
-// runClaims fans every measurement cell of the four claims out over
-// the worker pool: one job per victim row for the C1 claims, one job
-// per simulation for the C2 claims.
-func runClaims(ropt runner.Options, rows int, insts, seed uint64) ([]rowProbe, map[string]sim.Result) {
-	mod, err := chips.ByID("S6")
-	must(err)
-	opt := chips.DefaultDeviceOptions()
-	opt.Seed = seed
-
-	// Row selection needs a platform; jobs then rebuild their own so
-	// they share no state (the device model is closed-form per row, so
-	// an isolated platform measures exactly what a shared one would).
-	sel, err := bender.New(mod.NewChip(opt), seed)
-	must(err)
-	testRows := characterize.SelectRows(sel, rows)
-	cfg := characterize.DefaultConfig()
-
-	c1 := runner.NewMatrix[rowProbe]()
-	for _, victim := range testRows {
-		c1.Add(fmt.Sprintf("c1/row%d", victim), func(runner.Ctx) (rowProbe, error) {
-			pl, err := bender.New(mod.NewChip(opt), seed)
-			if err != nil {
-				return rowProbe{}, err
-			}
-			pl.SetTemperature(80)
-			var p rowProbe
-			if p.Nom, err = characterize.MeasureRow(pl, victim, 33.0, 1, cfg); err != nil {
-				return p, err
-			}
-			if p.Red, err = characterize.MeasureRow(pl, victim, 0.45*33.0, 1, cfg); err != nil {
-				return p, err
-			}
-			if p.Deep, err = characterize.MeasureRow(pl, victim, 0.18*33.0, 1, cfg); err != nil {
-				return p, err
-			}
-			if p.FailedOnce, err = characterize.MeasureRetentionRow(pl, victim, 0.36*33.0, 1, 64); err != nil {
-				return p, err
-			}
-			if p.FailedMany, err = characterize.MeasureRetentionRow(pl, victim, 0.36*33.0, 5000, 64); err != nil {
-				return p, err
-			}
-			return p, nil
-		})
-	}
-	c1opt := ropt
-	c1opt.Label = "artifact/C1"
-	probeByKey, err := runner.Run(c1opt, c1.Jobs())
-	must(err)
-	probes := make([]rowProbe, 0, len(testRows))
-	for _, victim := range testRows {
-		probes = append(probes, probeByKey[fmt.Sprintf("c1/row%d", victim)])
-	}
-
-	// System claims: RFM at NRH=64 with and without PaCRAM-H.
-	modH, err := chips.ByID("H5")
-	must(err)
-	pcfg, err := pacram.Derive(modH, 4 /* 0.36 tRAS */, 64, sim.SmallMemConfig().Timing)
-	must(err)
-	spec, err := trace.SpecByName("429.mcf")
-	must(err)
-	mix := trace.Mixes()[0]
-
-	c2 := runner.NewMatrix[sim.Result]()
-	addSim := func(key string, workloads []trace.Spec, pc *pacram.Config) {
-		w := append([]trace.Spec(nil), workloads...)
-		c2.Add(key, func(runner.Ctx) (sim.Result, error) {
-			o := sim.DefaultOptions(w...)
-			o.MemCfg = sim.SmallMemConfig()
-			o.Instructions = insts
-			o.Warmup = insts / 10
-			o.Mitigation = mitigation.NameRFM
-			o.NRH = 64
-			o.PaCRAM = pc
-			o.Seed = seed
-			return sim.Run(o)
-		})
-	}
-	addSim("c2/single/nopac", []trace.Spec{spec}, nil)
-	addSim("c2/single/pacram", []trace.Spec{spec}, &pcfg)
-	addSim("c2/mix/nopac", mix.Specs[:], nil)
-	addSim("c2/mix/pacram", mix.Specs[:], &pcfg)
-	c2opt := ropt
-	c2opt.Label = "artifact/C2"
-	sims, err := runner.Run(c2opt, c2.Jobs())
-	must(err)
-	return probes, sims
-}
-
-func must(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "artifact:", err)
-		os.Exit(1)
-	}
+	fmt.Fprintln(stdout, "\nall claims PASS")
+	return 0
 }

@@ -55,7 +55,7 @@ func realMain() error {
 		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
 		cacheDir  = flag.String("cache", "", "cache completed cells as JSON in this directory; re-runs skip them")
-		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL (takeaways ignore it)")
+		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL (takeaways T1-T6 ignore it)")
 		quiet     = flag.Bool("quiet", false, "suppress progress/ETA output on stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		profile   = flag.Bool("profile", false, "with -tracefile: attribute simulated work per layer (sim.Options.Profile)")
@@ -128,7 +128,7 @@ func realMain() error {
 	}
 
 	if *traceFile != "" {
-		return runTraceFile(*traceFile, opt, *profile)
+		return runTraceFile(os.Stdout, *traceFile, opt, *profile)
 	}
 
 	ids := strings.Split(*expFlag, ",")
@@ -164,26 +164,28 @@ func runExperiment(id string, opt exp.SysOptions, ropt scenario.RunOptions) (*ex
 	case "area":
 		return exp.AreaReport(), nil
 	case "takeaways":
-		return exp.Takeaways(takeawaysCharOptions(ropt), opt)
+		// T1-T6 run at the default characterization scale under the
+		// command's workers, cache and progress; CharOptions has no
+		// remote store, so -store reaches only T7 and T8.
+		co := exp.DefaultCharOptions()
+		co.Parallel, co.CacheDir, co.Progress = ropt.Parallel, ropt.CacheDir, ropt.Progress
+		fig17, fig18, err := scenario.ClaimFigures(opt, ropt)
+		if err != nil {
+			return nil, err
+		}
+		return exp.Takeaways(co, fig17, fig18)
 	}
 	return nil, fmt.Errorf("unknown experiment %q (have: %s)", id, strings.Join(experiments, " "))
 }
 
-// takeawaysCharOptions runs T1-T6 at the default characterization scale
-// with the command's worker count, cache directory and progress writer.
-// CharOptions has no remote store, so -store does not reach them.
-func takeawaysCharOptions(ropt scenario.RunOptions) exp.CharOptions {
-	co := exp.DefaultCharOptions()
-	co.Parallel = ropt.Parallel
-	co.CacheDir = ropt.CacheDir
-	co.Progress = ropt.Progress
-	return co
-}
-
-// runTraceFile replays a trace file on a single core and prints the
-// detailed statistics; with profile, also the per-layer attribution of
-// where simulated and wall-clock time went.
-func runTraceFile(path string, o exp.SysOptions, profile bool) error {
+// runTraceFile replays a trace file on a single core under at most one
+// mitigation and prints the detailed statistics to w; with profile,
+// also the per-layer attribution of where simulated and wall-clock
+// time went.
+func runTraceFile(w io.Writer, path string, o exp.SysOptions, profile bool) error {
+	if len(o.Mitigations) > 1 {
+		return fmt.Errorf("-tracefile replays one run: give at most one -mitigations name, not %d", len(o.Mitigations))
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -199,10 +201,17 @@ func runTraceFile(path string, o exp.SysOptions, profile bool) error {
 	}
 	sopt := sim.DefaultOptions()
 	sopt.Generators = []trace.Generator{gen}
-	sopt.MemCfg = o.MemCfg()
+	sopt.MemCfg = sim.SmallMemConfig()
+	if o.Channels != 0 {
+		sopt.MemCfg.Geometry.Channels = o.Channels
+	}
+	if o.Ranks != 0 {
+		sopt.MemCfg.Geometry.Ranks = o.Ranks
+	}
 	sopt.Instructions = o.Instructions
 	sopt.Warmup = o.Warmup
 	sopt.NRH = o.NRHs[0]
+	sopt.Seed = o.Seed
 	if len(o.Mitigations) == 1 {
 		sopt.Mitigation = o.Mitigations[0]
 	}
@@ -211,29 +220,29 @@ func runTraceFile(path string, o exp.SysOptions, profile bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace %s (%d records): IPC %.4f, %d reads, %d writes, %d ACTs, prev-ref busy %.3f%%, energy %.3g J\n",
+	fmt.Fprintf(w, "trace %s (%d records): IPC %.4f, %d reads, %d writes, %d ACTs, prev-ref busy %.3f%%, energy %.3g J\n",
 		path, len(recs), res.IPC[0], res.Stats.Reads, res.Stats.Writes,
 		res.Stats.Acts, 100*res.PrevRefBusyFraction, res.Energy.Total())
 	if p := res.Profile; p != nil {
-		fmt.Printf("profile (%s engine): %d cycles in %d steps", p.Engine, p.SimCycles, p.Steps)
+		fmt.Fprintf(w, "profile (%s engine): %d cycles in %d steps", p.Engine, p.SimCycles, p.Steps)
 		if p.Leaps > 0 {
-			fmt.Printf(" + %d leaps covering %d cycles (%.1f%%)",
+			fmt.Fprintf(w, " + %d leaps covering %d cycles (%.1f%%)",
 				p.Leaps, p.LeapCycles, 100*float64(p.LeapCycles)/float64(p.SimCycles))
 		}
-		fmt.Printf("\n  cores: %d ticks, %d stall-skips, %.1fms; controller: %.1fms; wall %.1fms (%.2fM cycles/s)\n",
+		fmt.Fprintf(w, "\n  cores: %d ticks, %d stall-skips, %.1fms; controller: %.1fms; wall %.1fms (%.2fM cycles/s)\n",
 			p.CoreTicks, p.CoreStallSkips, float64(p.CoreNanos)/1e6,
 			float64(p.CtrlNanos)/1e6, float64(p.WallNanos)/1e6, p.CyclesPerSecond/1e6)
 		if p.QuietLeaps > 0 {
-			fmt.Printf("  quiet leaps: %d covering %d cycles (%.1f%%)\n",
+			fmt.Fprintf(w, "  quiet leaps: %d covering %d cycles (%.1f%%)\n",
 				p.QuietLeaps, p.QuietCycles, 100*float64(p.QuietCycles)/float64(p.SimCycles))
 		}
 		if p.Windows > 0 {
-			fmt.Printf("  windows: %d (%d parallel) covering %d cycles, %d channel ticks over %d channel-advances, %.1fms (merge %.2fms)\n",
+			fmt.Fprintf(w, "  windows: %d (%d parallel) covering %d cycles, %d channel ticks over %d channel-advances, %.1fms (merge %.2fms)\n",
 				p.Windows, p.ParallelWindows, p.WindowCycles,
 				p.WindowChannelTicks, p.WindowChannelsAdvanced,
 				float64(p.WindowNanos)/1e6, float64(p.MergeNanos)/1e6)
 		}
-		fmt.Printf("  commands: %d refreshes, %d RFMs, %d preventive refreshes\n",
+		fmt.Fprintf(w, "  commands: %d refreshes, %d RFMs, %d preventive refreshes\n",
 			p.Refreshes, p.RFMs, p.PreventiveRefreshes)
 	}
 	return nil

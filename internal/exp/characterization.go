@@ -46,8 +46,15 @@ func DefaultCharOptions() CharOptions {
 }
 
 // runnerOptions maps characterization options onto the engine; the
-// fingerprint covers every scale knob outside the job keys.
+// fingerprint covers every scale knob outside the job keys. A scale no
+// measurement can run at is an error naming the flag that sets it.
 func (o CharOptions) runnerOptions(label string) (runner.Options, error) {
+	if o.Rows < 1 {
+		return runner.Options{}, fmt.Errorf("exp: -rows %d: rows per module must be at least 1", o.Rows)
+	}
+	if o.BankRows < 1 || o.BankRows&(o.BankRows-1) != 0 {
+		return runner.Options{}, fmt.Errorf("exp: -bankrows %d: rows per bank must be a positive power of two", o.BankRows)
+	}
 	return runner.Options{
 		Workers: o.Parallel,
 		Seed:    o.Seed,

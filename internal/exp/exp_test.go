@@ -26,6 +26,21 @@ func tinySys() SysOptions {
 	return o
 }
 
+// claimTables returns the RFM@64 rows of the default-scale Figs. 17
+// and 18 tables (internal/scenario/testdata/figures.golden), the shape
+// scenario.ClaimFigures returns, for tests that cannot import scenario.
+func claimTables() (fig17, fig18 *Table) {
+	table := func(id string, rows [4][2]float64) *Table {
+		t := &Table{ID: id, Columns: claimColumns}
+		for i, config := range []string{"NoPaCRAM", "PaCRAM-H", "PaCRAM-M", "PaCRAM-S"} {
+			t.AddRow(config, "RFM", 64, rows[i][0], rows[i][1])
+		}
+		return t
+	}
+	return table("fig17", [4][2]float64{{0.9742, 0.9731}, {0.9870, 0.9878}, {0.9858, 0.9879}, {0.9866, 0.9853}}),
+		table("fig18", [4][2]float64{{1.0470, 1.0570}, {1.0299, 1.0341}, {1.0299, 1.0281}, {1.0373, 1.0455}})
+}
+
 func findRows(t *Table, match func(row []string) bool) [][]string {
 	var out [][]string
 	for _, r := range t.Rows {
@@ -84,7 +99,8 @@ func TestTableRendering(t *testing.T) {
 func TestWriteCSVRoundTrip(t *testing.T) {
 	co := tinyChar()
 	co.Rows = 12
-	takeaways, err := Takeaways(co, tinySys())
+	fig17, fig18 := claimTables()
+	takeaways, err := Takeaways(co, fig17, fig18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,16 +160,6 @@ func TestCharacterizationGolden(t *testing.T) {
 	}
 	buf.WriteString(render(t, Profiling()))
 	checkGolden(t, "testdata/characterize.golden", buf.String())
-}
-
-// TestTakeawaysGolden compares the default-scale takeaways table with
-// `simulate -exp takeaways`'s golden output.
-func TestTakeawaysGolden(t *testing.T) {
-	tbl, err := Takeaways(DefaultCharOptions(), DefaultSysOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "testdata/takeaways.golden", render(t, tbl))
 }
 
 // TestModulesRejectsDuplicates: a module listed twice would count its
@@ -471,20 +477,77 @@ func TestProfilingTable(t *testing.T) {
 	}
 }
 
-func TestTakeawaysAllHold(t *testing.T) {
-	co := tinyChar()
-	co.Rows = 12
-	so := tinySys()
-	tbl, err := Takeaways(co, so)
+// TestClaimsReadFigureCells: T7/T8 and C2.1/C2.2 quote the RFM@64
+// NoPaCRAM and PaCRAM-H cells of the Figs. 17 and 18 tables and hold
+// only when PaCRAM-H improves both columns.
+func TestClaimsReadFigureCells(t *testing.T) {
+	fig17, fig18 := claimTables()
+	perf, energy, err := readGains(fig17, fig18)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("takeaways table has %d rows, want 8", len(tbl.Rows))
+	if got, want := perf.String(), "RFM@64+PaCRAM-H: 1-core 0.9742->0.9870, 4-core 0.9731->0.9878"; got != want {
+		t.Errorf("fig17 evidence = %q, want %q", got, want)
 	}
-	for _, r := range tbl.Rows {
-		if r[3] != "yes" {
-			t.Errorf("%s does not hold: %s (%s)", r[0], r[1], r[2])
+	if got, want := energy.String(), "RFM@64+PaCRAM-H: 1-core 1.0470->1.0299, 4-core 1.0570->1.0341"; got != want {
+		t.Errorf("fig18 evidence = %q, want %q", got, want)
+	}
+	if !perf.raises() || perf.lowers() || !energy.lowers() || energy.raises() {
+		t.Errorf("verdicts: perf raises %v lowers %v, energy raises %v lowers %v",
+			perf.raises(), perf.lowers(), energy.raises(), energy.lowers())
+	}
+	// A PaCRAM-H multi-core cell below NoPaCRAM's fails the claim.
+	fig17.Rows[1][4] = "0.9700"
+	if perf, _, _ := readGains(fig17, fig18); perf.raises() {
+		t.Error("perf raises with a worse multi-core PaCRAM-H cell")
+	}
+}
+
+// TestClaimsRejectBadFigures: a figure table without the rows or cells
+// the claims read is an error, not a verdict.
+func TestClaimsRejectBadFigures(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*Table)
+	}{
+		{"missing row", "no PaCRAM-H row", func(t *Table) { t.Rows = append(t.Rows[:1], t.Rows[2:]...) }},
+		{"bad cell", "NoPaCRAM singleCoreNorm", func(t *Table) { t.Rows[0][3] = "n/a" }},
+		{"repeated row", "more than one NoPaCRAM row", func(t *Table) { t.Rows = append(t.Rows, t.Rows[0]) }},
+		{"other columns", "want [", func(t *Table) { t.Columns = t.Columns[:4] }},
+	} {
+		fig17, fig18 := claimTables()
+		tc.edit(fig18)
+		if _, err := Takeaways(tinyChar(), fig17, fig18); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Takeaways err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if _, err := ArtifactClaims(tinyChar(), fig17, fig18); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ArtifactClaims err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCharScaleValidated: a scale no measurement can run at is an
+// error naming the flag, from a characterization builder and from the
+// claims, not a panic or an empty table.
+func TestCharScaleValidated(t *testing.T) {
+	fig17, fig18 := claimTables()
+	for _, tc := range []struct {
+		flag string
+		edit func(*CharOptions)
+	}{
+		{"-rows", func(o *CharOptions) { o.Rows = 0 }},
+		{"-rows", func(o *CharOptions) { o.Rows = -3 }},
+		{"-bankrows", func(o *CharOptions) { o.BankRows = 0 }},
+		{"-bankrows", func(o *CharOptions) { o.BankRows = 100 }},
+	} {
+		o := tinyChar()
+		o.Modules = []string{"S6"}
+		tc.edit(&o)
+		if _, err := Table3(o); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("Table3 at rows %d, bank rows %d: err = %v, want one naming %s", o.Rows, o.BankRows, err, tc.flag)
+		}
+		if _, err := ArtifactClaims(o, fig17, fig18); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("ArtifactClaims at rows %d, bank rows %d: err = %v, want one naming %s", o.Rows, o.BankRows, err, tc.flag)
 		}
 	}
 }

@@ -7,4 +7,5 @@ var (
 	TinySys  = tinySys
 	CellF    = cellF
 	Render   = render
+	Golden   = checkGolden
 )

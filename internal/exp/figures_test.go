@@ -233,3 +233,53 @@ func TestRunTableDetail(t *testing.T) {
 		t.Fatalf("PRAC timing tax missing in run table: %.4f vs %.4f", pracIPC, baseIPC)
 	}
 }
+
+// TestTakeawaysGolden compares the default-scale takeaways table with
+// `simulate -exp takeaways`'s golden output.
+func TestTakeawaysGolden(t *testing.T) {
+	fig17, fig18, err := scenario.ClaimFigures(exp.DefaultSysOptions(), scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := exp.Takeaways(exp.DefaultCharOptions(), fig17, fig18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.Golden(t, "testdata/takeaways.golden", exp.Render(t, tbl))
+}
+
+// TestTakeawaysAllHold: at the tiny scale every takeaway and every
+// artifact claim holds; RFM@64 PaCRAM-H beats NoPaCRAM on all four
+// figure cells.
+func TestTakeawaysAllHold(t *testing.T) {
+	co := exp.TinyChar()
+	co.Rows = 12
+	fig17, fig18, err := scenario.ClaimFigures(exp.TinySys(), scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := exp.Takeaways(co, fig17, fig18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 8 {
+		t.Fatalf("takeaways table has %d rows, want 8", len(tbl.Rows))
+	}
+	for _, r := range tbl.Rows {
+		if r[3] != "yes" {
+			t.Errorf("%s does not hold: %s (%s)", r[0], r[1], r[2])
+		}
+	}
+	claims, err := exp.ArtifactClaims(co, fig17, fig18)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(claims) != 4 {
+		t.Fatalf("%d artifact claims, want 4", len(claims))
+	}
+	for _, c := range claims {
+		if !c.Holds {
+			t.Errorf("%s does not hold: %s (%s)", c.ID, c.Statement, c.Evidence)
+		}
+	}
+}

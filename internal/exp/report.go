@@ -1,14 +1,14 @@
 // Package exp holds the paper's device-characterization drivers (one
-// per table and figure of §4-§7), the §8.4 area report, the takeaway
-// checks, and the Table every experiment renders as aligned text and
-// CSV. The system figures (Figs. 3 and 16-19) and the per-workload run
-// table are scenario specs; SysOptions is the scale cmd/simulate's
-// flags give them (see scenario.FigureSpec). The experiment index,
-// with the command and expected runtime per figure, lives in the
-// top-level README.md. Each characterization driver lists its sweep
-// points once, runs them through internal/runner (worker pool,
-// caching, progress) in one call, and builds its table from the
-// results.
+// per table and figure of §4-§7), the §8.4 area report, the paper's
+// claims (Takeaways, ArtifactClaims), and the Table every experiment
+// renders as aligned text and CSV. The system figures (Figs. 3 and
+// 16-19) and the run table are scenario specs; SysOptions is the scale
+// cmd/simulate's flags give them (see scenario.FigureSpec). The
+// experiment index lives in the top-level README.md. Each
+// characterization driver lists its sweep points once, runs them
+// through internal/runner in one call, and builds its table from the
+// results. The claims plan no cells: they read characterization points
+// and the Figs. 17 and 18 tables the caller ran (scenario.ClaimFigures).
 package exp
 
 import (

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	pacram "pacram/internal/core"
-	"pacram/internal/memsys"
-	"pacram/internal/sim"
 )
 
 // SysOptions scales the system-level experiments: Figs. 3 and 16-19
 // and the per-workload run table, which run as scenario specs rescaled
-// by scenario.FigureSpec, and the system half of Takeaways. How a spec
-// executes (workers, cache, progress) is scenario.RunOptions.
+// by scenario.FigureSpec. Takeaways T7/T8 and the C2 artifact claims
+// read Figs. 17 and 18 at this scale (scenario.ClaimFigures). How a
+// spec executes (workers, cache, progress) is scenario.RunOptions.
 // Defaults trade the paper's 62 workloads x 100M instructions for a
 // representative subset at simulator-test scale; raise for fidelity.
 type SysOptions struct {
@@ -44,19 +43,6 @@ func DefaultSysOptions() SysOptions {
 		NRHs:         []int{1024, 256, 64},
 		Seed:         0x51317,
 	}
-}
-
-// MemCfg returns the experiments' memory configuration: the scaled
-// paper system with the geometry overrides applied.
-func (o SysOptions) MemCfg() memsys.Config {
-	cfg := sim.SmallMemConfig()
-	if o.Channels != 0 {
-		cfg.Geometry.Channels = o.Channels
-	}
-	if o.Ranks != 0 {
-		cfg.Geometry.Ranks = o.Ranks
-	}
-	return cfg
 }
 
 // AreaReport summarizes PaCRAM's §8.4 hardware cost.

@@ -3,8 +3,9 @@
 // config x workload), fans them out over a bounded worker pool, caches
 // completed results in a pluggable result store, and streams progress
 // to the caller. Every sweep driver in internal/exp and
-// internal/scenario, the artifact checker and the examples execute
-// their simulation and characterization cells through it.
+// internal/scenario and the examples execute their simulation and
+// characterization cells through it; the paper's claims (exp.Takeaways,
+// cmd/artifact) read cells those drivers planned.
 //
 // # Determinism
 //

@@ -112,6 +112,27 @@ func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
 	return s, nil
 }
 
+// ClaimFigures runs Figs. 17 and 18 at o's scale narrowed to RFM at
+// NRH 64, the point the paper's system claims read (exp.Takeaways T7
+// and T8, exp.ArtifactClaims C2.1 and C2.2), under ropt. The two
+// figures plan the same cells, so with a cache fig18 is served from
+// fig17's.
+func ClaimFigures(o exp.SysOptions, ropt RunOptions) (fig17, fig18 *exp.Table, err error) {
+	o.Mitigations, o.NRHs = []string{mitigation.NameRFM}, []int{64}
+	run := func(id string) (*exp.Table, error) {
+		s, err := FigureSpec(id, o)
+		if err != nil {
+			return nil, err
+		}
+		return Run(s, ropt)
+	}
+	if fig17, err = run("fig17"); err != nil {
+		return nil, nil, err
+	}
+	fig18, err = run("fig18")
+	return fig17, fig18, err
+}
+
 // rezip rebuilds run's zipped mitigation and nrh axes when o names
 // mechanisms or thresholds: the first pair (the unprotected row)
 // stays, then one pair per mechanism × NRH, mechanism outermost. An
