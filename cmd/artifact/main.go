@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"pacram/internal/exp"
+	"pacram/internal/runner"
 	"pacram/internal/scenario"
 )
 
@@ -34,7 +35,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		insts    = fs.Uint64("insts", 40_000, "instructions per core for the system claims")
 		seed     = fs.Uint64("seed", 0x9ac24a, "seed")
 		parallel = fs.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
-		cacheDir = fs.String("cache", ".pacram-cache", "cell cache directory ('' disables caching)")
+		cacheDir = fs.String("cache", ".pacram-cache", "cell cache directory ('' keeps cells in memory for this run only)")
 		quiet    = fs.Bool("quiet", false, "suppress progress/ETA output on stderr")
 	)
 	fs.Parse(args) // exits on a bad flag, as the flag package's defaults do
@@ -44,16 +45,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	co := exp.DefaultCharOptions()
-	co.Rows, co.Seed = *rows, *seed
-	co.Parallel, co.CacheDir, co.Progress = *parallel, *cacheDir, progress
+	co.Rows, co.Seed, co.Parallel, co.Progress = *rows, *seed, *parallel, progress
 	so := exp.DefaultSysOptions()
 	so.Instructions, so.Warmup, so.Seed = *insts, *insts/10, *seed
-
-	fig17, fig18, err := scenario.ClaimFigures(so, scenario.RunOptions{Parallel: *parallel, CacheDir: *cacheDir, Progress: progress})
-	var claims []exp.Claim
-	if err == nil {
-		claims, err = exp.ArtifactClaims(co, fig17, fig18)
-	}
+	claims, err := checkClaims(co, so, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "artifact:", err)
 		return 1
@@ -74,4 +69,24 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "\nall claims PASS")
 	return 0
+}
+
+// checkClaims rejects a characterization scale no measurement can run
+// at before any cell runs, then runs C2's Fig. 17 and 18 cells and C1's
+// characterization points on one store, opened at cacheDir, under co's
+// workers and progress.
+func checkClaims(co exp.CharOptions, so exp.SysOptions, cacheDir string) ([]exp.Claim, error) {
+	if err := co.Validate(); err != nil {
+		return nil, err
+	}
+	store, err := runner.OpenStore(cacheDir, "", 0)
+	if err != nil {
+		return nil, err
+	}
+	co.Store = store
+	fig17, fig18, err := scenario.ClaimFigures(so, scenario.RunOptions{Parallel: co.Parallel, Store: store, Progress: co.Progress})
+	if err != nil {
+		return nil, err
+	}
+	return exp.ArtifactClaims(co, fig17, fig18)
 }

@@ -28,13 +28,17 @@ func TestArtifactGolden(t *testing.T) {
 }
 
 // TestArtifactRejectsBadScale: a scale no measurement can run at exits
-// 1 with an error naming the flag, and prints no verdict.
+// 1 with an error naming the flag, before any cell runs (progress is
+// on, and no figure reports a cell), and prints no verdict.
 func TestArtifactRejectsBadScale(t *testing.T) {
 	for _, rows := range []string{"0", "-1"} {
 		var stdout, stderr bytes.Buffer
-		code := realMain([]string{"-cache", "", "-quiet", "-rows", rows, "-insts", "2000"}, &stdout, &stderr)
+		code := realMain([]string{"-cache", "", "-rows", rows, "-insts", "2000"}, &stdout, &stderr)
 		if code != 1 || !strings.Contains(stderr.String(), "-rows") {
 			t.Errorf("-rows %s: exit code %d, stderr %q; want 1 and an error naming -rows", rows, code, stderr.String())
+		}
+		if strings.Contains(stderr.String(), "fig17") {
+			t.Errorf("-rows %s: simulated Fig. 17 cells before rejecting the scale: %q", rows, stderr.String())
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("-rows %s: printed %q", rows, stdout.String())

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"pacram/internal/exp"
+	"pacram/internal/runner"
 )
 
 var experiments = []string{
@@ -53,7 +54,12 @@ func main() {
 	opt.Iterations = *iters
 	opt.Seed = *seed
 	opt.Parallel = *parallel
-	opt.CacheDir = *cacheDir
+	store, err := runner.OpenStore(*cacheDir, "", 0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
+		os.Exit(1)
+	}
+	opt.Store = store
 	opt.Progress = progress
 	opt.Modules = moduleIDs(*modules)
 

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"pacram/internal/exp"
+	"pacram/internal/runner"
 	"pacram/internal/scenario"
 	"pacram/internal/service"
 	"pacram/internal/telemetry"
@@ -298,7 +299,11 @@ func run(args []string) error {
 	if !*quiet {
 		progress = os.Stderr
 	}
-	opt := scenario.RunOptions{Parallel: *parallel, CacheDir: *cacheDir, StoreURL: *storeURL, Progress: progress}
+	store, err := runner.OpenStore(*cacheDir, *storeURL, 0)
+	if err != nil {
+		return err
+	}
+	opt := scenario.RunOptions{Parallel: *parallel, Store: store, Progress: progress}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {

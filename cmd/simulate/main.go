@@ -23,6 +23,7 @@ import (
 
 	"pacram/internal/exp"
 	"pacram/internal/mitigation"
+	"pacram/internal/runner"
 	"pacram/internal/scenario"
 	"pacram/internal/sim"
 	"pacram/internal/trace"
@@ -55,7 +56,7 @@ func realMain() error {
 		csvDir    = flag.String("csv", "", "directory to write per-experiment CSV files")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = all CPUs); results are identical at any value")
 		cacheDir  = flag.String("cache", "", "cache completed cells as JSON in this directory; re-runs skip them")
-		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL (takeaways T1-T6 ignore it)")
+		storeURL  = flag.String("store", "", "also read/write cells on a pacramd cache origin at this URL")
 		quiet     = flag.Bool("quiet", false, "suppress progress/ETA output on stderr")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		profile   = flag.Bool("profile", false, "with -tracefile: attribute simulated work per layer (sim.Options.Profile)")
@@ -135,9 +136,18 @@ func realMain() error {
 	if *expFlag == "all" {
 		ids = experiments
 	}
-	ropt := scenario.RunOptions{Parallel: *parallel, CacheDir: *cacheDir, StoreURL: *storeURL, Progress: progress}
+	// Every experiment runs on one store, so a cell one computed is a
+	// hit for the next (fig18 reads fig17's cells). T1-T6 run at the
+	// default characterization scale on the same workers and store.
+	store, err := runner.OpenStore(*cacheDir, *storeURL, 0)
+	if err != nil {
+		return err
+	}
+	ropt := scenario.RunOptions{Parallel: *parallel, Store: store, Progress: progress}
+	co := exp.DefaultCharOptions()
+	co.Parallel, co.Store, co.Progress = *parallel, store, progress
 	for _, id := range ids {
-		tbl, err := runExperiment(strings.TrimSpace(id), opt, ropt)
+		tbl, err := runExperiment(strings.TrimSpace(id), opt, co, ropt)
 		if err != nil {
 			return fmt.Errorf("%s: %v", id, err)
 		}
@@ -153,7 +163,7 @@ func realMain() error {
 	return nil
 }
 
-func runExperiment(id string, opt exp.SysOptions, ropt scenario.RunOptions) (*exp.Table, error) {
+func runExperiment(id string, opt exp.SysOptions, co exp.CharOptions, ropt scenario.RunOptions) (*exp.Table, error) {
 	switch id {
 	case "fig3", "fig16", "fig17", "fig18", "fig19", "run":
 		s, err := scenario.FigureSpec(id, opt)
@@ -164,11 +174,6 @@ func runExperiment(id string, opt exp.SysOptions, ropt scenario.RunOptions) (*ex
 	case "area":
 		return exp.AreaReport(), nil
 	case "takeaways":
-		// T1-T6 run at the default characterization scale under the
-		// command's workers, cache and progress; CharOptions has no
-		// remote store, so -store reaches only T7 and T8.
-		co := exp.DefaultCharOptions()
-		co.Parallel, co.CacheDir, co.Progress = ropt.Parallel, ropt.CacheDir, ropt.Progress
 		fig17, fig18, err := scenario.ClaimFigures(opt, ropt)
 		if err != nil {
 			return nil, err

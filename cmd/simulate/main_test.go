@@ -2,13 +2,59 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"pacram/internal/exp"
+	"pacram/internal/runner"
+	"pacram/internal/runner/storetest"
 	"pacram/internal/scenario"
 )
+
+// openRun opens one process's store the way realMain does and returns
+// the options every experiment of that process runs under, with
+// progress going to progress.
+func openRun(t *testing.T, cacheDir, storeURL string, progress io.Writer) (exp.CharOptions, scenario.RunOptions) {
+	t.Helper()
+	store, err := runner.OpenStore(cacheDir, storeURL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := exp.DefaultCharOptions()
+	co.Parallel, co.Store, co.Progress = 2, store, progress
+	return co, scenario.RunOptions{Parallel: 2, Store: store, Progress: progress}
+}
+
+// doneLine is one finished-run progress line: the label, the jobs run
+// and whether every one was served from the store.
+type doneLine struct {
+	label     string
+	jobs      int
+	allCached bool
+}
+
+// doneLines parses the "jobs done" lines out of progress output.
+func doneLines(t *testing.T, progress string) []doneLine {
+	t.Helper()
+	var out []doneLine
+	for _, line := range strings.Split(strings.ReplaceAll(progress, "\r", "\n"), "\n") {
+		if !strings.Contains(line, "jobs done") {
+			continue
+		}
+		f := strings.Fields(line)
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			t.Fatalf("progress line %q: %v", line, err)
+		}
+		out = append(out, doneLine{strings.TrimSuffix(f[0], ":"), n, strings.Contains(line, "("+f[1]+" cached)")})
+	}
+	return out
+}
 
 // TestTakeawaysUseRunOptions: `-exp takeaways` runs T1-T6 under the
 // command's -parallel, -cache and progress options, so a second run on
@@ -24,8 +70,8 @@ func TestTakeawaysUseRunOptions(t *testing.T) {
 	dir := t.TempDir()
 	for run, wantCached := range []bool{false, true} {
 		var progress, out bytes.Buffer
-		ropt := scenario.RunOptions{Parallel: 2, CacheDir: dir, Progress: &progress}
-		tbl, err := runExperiment("takeaways", exp.DefaultSysOptions(), ropt)
+		co, ropt := openRun(t, dir, "", &progress)
+		tbl, err := runExperiment("takeaways", exp.DefaultSysOptions(), co, ropt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,32 +81,112 @@ func TestTakeawaysUseRunOptions(t *testing.T) {
 		if !bytes.Equal(out.Bytes(), golden) {
 			t.Errorf("run %d: table differs from takeaways.golden:\n%s", run, out.Bytes())
 		}
-		p := progress.String()
 		// Every characterization "jobs done" line reports its cached
 		// count on the warm run and none on the cold one; fig18's is
 		// all cached on both.
 		done, fig18 := 0, 0
-		for _, line := range strings.Split(strings.ReplaceAll(p, "\r", "\n"), "\n") {
-			if !strings.Contains(line, "jobs done") {
-				continue
-			}
-			n := strings.Fields(line)[1]
-			allCached := strings.Contains(line, "("+n+" cached)")
-			switch {
-			case strings.HasPrefix(line, "takeaways:"):
+		for _, l := range doneLines(t, progress.String()) {
+			switch l.label {
+			case "takeaways":
 				done++
-				if allCached != wantCached {
-					t.Errorf("run %d: %q: all points cached = %v, want %v", run, strings.TrimSpace(line), allCached, wantCached)
+				if l.allCached != wantCached {
+					t.Errorf("run %d: takeaways: %d points all cached = %v, want %v", run, l.jobs, l.allCached, wantCached)
 				}
-			case strings.HasPrefix(line, "fig18:"):
+			case "fig18":
 				fig18++
-				if !allCached {
-					t.Errorf("run %d: %q: fig18 not served from fig17's cells", run, strings.TrimSpace(line))
+				if !l.allCached {
+					t.Errorf("run %d: fig18: %d jobs not served from fig17's cells", run, l.jobs)
 				}
 			}
 		}
 		if done == 0 || fig18 != 1 {
-			t.Fatalf("run %d: %d takeaways and %d fig18 finished-run progress lines: %q", run, done, fig18, p)
+			t.Fatalf("run %d: %d takeaways and %d fig18 finished-run progress lines: %q", run, done, fig18, progress.String())
+		}
+	}
+}
+
+// TestFiguresShareOneStore: with no cache directory, the experiments
+// of one run still share the process's store, so fig18, which plans
+// the cells fig17 just ran, is served from them entirely.
+func TestFiguresShareOneStore(t *testing.T) {
+	o := exp.DefaultSysOptions()
+	o.Instructions, o.Warmup, o.MixCount = 8_000, 800, 1
+	o.NRHs = []int{64}
+	o.Mitigations = []string{"RFM"}
+	o.Workloads = []string{"429.mcf"}
+	var progress bytes.Buffer
+	co, ropt := openRun(t, "", "", &progress)
+	for _, id := range []string{"fig17", "fig18"} {
+		if _, err := runExperiment(id, o, co, ropt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lines := doneLines(t, progress.String())
+	if len(lines) != 2 || lines[0].label != "fig17" || lines[1].label != "fig18" {
+		t.Fatalf("finished-run progress lines %+v, want fig17 then fig18", lines)
+	}
+	if lines[0].allCached {
+		t.Errorf("cold fig17: all %d jobs cached", lines[0].jobs)
+	}
+	if !lines[1].allCached || lines[1].jobs != lines[0].jobs {
+		t.Errorf("fig18 %+v: want all of fig17's %d jobs cached", lines[1], lines[0].jobs)
+	}
+}
+
+// TestTakeawaysUseRemoteStore: `-exp takeaways -store URL` writes the
+// T1-T6 characterization points to the origin, so another process on
+// the same origin, with no cache directory of its own, is served every
+// point from it.
+func TestTakeawaysUseRemoteStore(t *testing.T) {
+	originDir := t.TempDir()
+	disk, err := runner.NewDiskStore(originDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := storetest.ServeStore(t, disk)
+	for run, wantCached := range []bool{false, true} {
+		var progress bytes.Buffer
+		co, ropt := openRun(t, "", origin, &progress)
+		if _, err := runExperiment("takeaways", exp.DefaultSysOptions(), co, ropt); err != nil {
+			t.Fatal(err)
+		}
+		points := 0
+		for _, l := range doneLines(t, progress.String()) {
+			if l.label != "takeaways" {
+				continue
+			}
+			points += l.jobs
+			if l.allCached != wantCached {
+				t.Errorf("run %d: takeaways: %d points all cached = %v, want %v", run, l.jobs, l.allCached, wantCached)
+			}
+		}
+		if points == 0 {
+			t.Fatalf("run %d: no takeaways progress lines: %q", run, progress.String())
+		}
+		if run > 0 {
+			continue
+		}
+		// The origin holds one characterization entry per point.
+		files, err := filepath.Glob(filepath.Join(originDir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		char := 0
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct{ Fingerprint string }
+			if err := json.Unmarshal(data, &e); err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			if strings.Contains(e.Fingerprint, "char:v1:") {
+				char++
+			}
+		}
+		if char != points {
+			t.Errorf("origin holds %d characterization entries, want the %d points T1-T6 ran", char, points)
 		}
 	}
 }

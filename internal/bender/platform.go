@@ -131,10 +131,6 @@ func (p *Platform) execActs(body []Op, count int) {
 	}
 }
 
-// MaxHammerCycleNs returns the per-activation cycle time when
-// hammering at the maximum rate the command timings allow (tRC).
-func (p *Platform) MaxHammerCycleNs() float64 { return p.timing.TRC() }
-
 // TemperatureStabilityCheck reproduces the paper's infrastructure
 // validation (footnote 2): run RowHammer tests round-robin for the
 // given duration while sampling the thermocouple at the given period,

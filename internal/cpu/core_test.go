@@ -70,7 +70,7 @@ func TestComputeBoundIPCNearWidth(t *testing.T) {
 func TestMemoryLatencyThrottlesIPC(t *testing.T) {
 	spec := trace.Spec{Name: "m", BubbleMean: 2, Pattern: trace.PatternRandom, FootprintMB: 16}
 	run := func(latency int) float64 {
-		c := New(0, gen(t, spec).Clone(), &fakeMem{latency: latency})
+		c := New(0, gen(t, spec), &fakeMem{latency: latency})
 		mem := c.mem.(*fakeMem)
 		for i := 0; i < 20000; i++ {
 			c.Tick()

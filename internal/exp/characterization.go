@@ -32,9 +32,11 @@ type CharOptions struct {
 	// Parallel bounds the runner's worker pool (0 = all CPUs).
 	// Results are bit-identical at any worker count.
 	Parallel int
-	// CacheDir, when non-empty, persists per-sweep-point results as
-	// JSON so repeated runs at the same scale skip finished points.
-	CacheDir string
+	// Store, when non-nil, keeps per-sweep-point results (the
+	// command's runner.OpenStore stack), so a point one experiment
+	// measured is a hit for the next, and with a disk or remote tier
+	// repeated runs at the same scale skip finished points.
+	Store runner.Store
 	// Progress, when non-nil, receives streaming progress and ETA
 	// (typically os.Stderr).
 	Progress io.Writer
@@ -45,24 +47,17 @@ func DefaultCharOptions() CharOptions {
 	return CharOptions{Rows: 24, BankRows: 128, Iterations: 1, Seed: 0x9ac24a}
 }
 
-// runnerOptions maps characterization options onto the engine; the
-// fingerprint covers every scale knob outside the job keys. A scale no
-// measurement can run at is an error naming the flag that sets it.
-func (o CharOptions) runnerOptions(label string) (runner.Options, error) {
+// Validate rejects a scale no measurement can run at, with an error
+// naming the flag that sets it. Every run checks it; a command that
+// does other work first calls it up front.
+func (o CharOptions) Validate() error {
 	if o.Rows < 1 {
-		return runner.Options{}, fmt.Errorf("exp: -rows %d: rows per module must be at least 1", o.Rows)
+		return fmt.Errorf("exp: -rows %d: rows per module must be at least 1", o.Rows)
 	}
 	if o.BankRows < 1 || o.BankRows&(o.BankRows-1) != 0 {
-		return runner.Options{}, fmt.Errorf("exp: -bankrows %d: rows per bank must be a positive power of two", o.BankRows)
+		return fmt.Errorf("exp: -bankrows %d: rows per bank must be a positive power of two", o.BankRows)
 	}
-	return runner.Options{
-		Workers: o.Parallel,
-		Seed:    o.Seed,
-		Fingerprint: fmt.Sprintf("char:v1:rows=%d:bank=%d:iters=%d:seed=%d",
-			o.Rows, o.BankRows, o.Iterations, o.Seed),
-		Progress: o.Progress,
-		Label:    label,
-	}.WithStore(o.CacheDir, "")
+	return nil
 }
 
 func (o CharOptions) deviceOptions() chips.DeviceOptions {
@@ -141,7 +136,8 @@ func (r results[T]) at(c cell[T]) (T, error) {
 }
 
 // runCells measures the cells through the runner, each distinct key
-// once, under the characterization fingerprint.
+// once, under the characterization fingerprint, which covers every
+// scale knob outside the keys.
 func runCells[T any, C cell[T]](o CharOptions, label string, cells []C) (results[T], error) {
 	m := runner.NewMatrix[T]()
 	for _, c := range cells {
@@ -153,11 +149,18 @@ func runCells[T any, C cell[T]](o CharOptions, label string, cells []C) (results
 			return v, nil
 		})
 	}
-	ropt, err := o.runnerOptions(label)
-	if err != nil {
+	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	return runner.Run(ropt, m.Jobs())
+	return runner.Run(runner.Options{
+		Workers: o.Parallel,
+		Seed:    o.Seed,
+		Fingerprint: fmt.Sprintf("char:v1:rows=%d:bank=%d:iters=%d:seed=%d",
+			o.Rows, o.BankRows, o.Iterations, o.Seed),
+		Store:    o.Store,
+		Progress: o.Progress,
+		Label:    label,
+	}, m.Jobs())
 }
 
 // platform builds a fresh test platform for m at 80 C and selects the

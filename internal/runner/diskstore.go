@@ -87,9 +87,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir, c: tierCounters{name: "disk"}}, nil
 }
 
-// Dir returns the store directory.
-func (d *DiskStore) Dir() string { return d.dir }
-
 // Locate returns the entry's file path (see Locator).
 func (d *DiskStore) Locate(hash string) string { return d.path(hash) }
 

@@ -43,8 +43,11 @@
 // classic one-file-per-cell disk layout (NewDiskStore, byte-compatible
 // with cache directories written by every earlier release), a remote
 // pacramd cache origin over HTTP (NewRemoteStore), or a tiered stack
-// of them with read-through promotion and write-back (NewTiered) —
-// and the guarantees are backend-independent: entries are
+// of them with read-through promotion and write-back (NewTiered).
+// OpenStore is the one place a stack is composed (mem → disk →
+// remote); a command opens one per process and runs every experiment
+// on it, so cells one experiment computed are hits for the next. The
+// guarantees are backend-independent: entries are
 // self-describing (key and fingerprint travel with the result and are
 // re-validated on load, see GetCell), so corrupt or mismatched
 // entries are treated as misses and rewritten, never replayed. Disk

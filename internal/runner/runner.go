@@ -126,20 +126,6 @@ func warningFor(cell, op string, err error) Warning {
 	return w
 }
 
-// WithStore returns a copy of the options with the standard store
-// stack opened from the two CLI knobs (see OpenStore): a disk tier at
-// cacheDir, a remote tier at remoteURL, tiered when both are set,
-// no store when neither is. This is the one place the
-// open-if-configured dance lives, shared by every front end.
-func (o Options) WithStore(cacheDir, remoteURL string) (Options, error) {
-	store, err := OpenStore(cacheDir, remoteURL)
-	if err != nil {
-		return Options{}, err
-	}
-	o.Store = store
-	return o, nil
-}
-
 // Matrix accumulates jobs, deduplicating by key: sweep drivers
 // naturally request shared cells (baselines, normalization anchors)
 // many times, and only the first request plans the job.

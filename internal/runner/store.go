@@ -274,13 +274,20 @@ func at(loc string) string {
 	return " at " + loc
 }
 
-// OpenStore composes the standard front-end store stack from the two
-// CLI knobs: a disk tier when cacheDir is set, a remote tier (a
-// pacramd cache origin) when remoteURL is set, stacked with
-// read-through promotion and write-back when both are. Neither set
-// means no store (nil, nil).
-func OpenStore(cacheDir, remoteURL string) (Store, error) {
+// OpenStore builds the one result-store stack a process runs on,
+// fastest tier first: a memory tier unless memBytes < 0 (0 means
+// DefaultMemStoreBytes), then a disk tier at cacheDir when it is set,
+// then a remote tier (a pacramd cache origin) at remoteURL when it is
+// set, joined by read-through promotion and write-back (see Tiered).
+// Every command opens its store here once and runs all of its
+// experiments on it, so a cell one experiment computed is a hit for
+// the next; the daemon opens its store here too. With no tier at all
+// there is no store: nil, nil.
+func OpenStore(cacheDir, remoteURL string, memBytes int64) (*Tiered, error) {
 	var tiers []Store
+	if memBytes >= 0 {
+		tiers = append(tiers, NewMemStore(memBytes))
+	}
 	if cacheDir != "" {
 		disk, err := NewDiskStore(cacheDir)
 		if err != nil {
@@ -291,11 +298,8 @@ func OpenStore(cacheDir, remoteURL string) (Store, error) {
 	if remoteURL != "" {
 		tiers = append(tiers, NewRemoteStore(remoteURL))
 	}
-	switch len(tiers) {
-	case 0:
+	if len(tiers) == 0 {
 		return nil, nil
-	case 1:
-		return tiers[0], nil
 	}
 	return NewTiered(tiers...), nil
 }

@@ -1,6 +1,7 @@
 package runner_test
 
 import (
+	"strings"
 	"testing"
 
 	"pacram/internal/runner"
@@ -54,41 +55,45 @@ func TestMemStoreEviction(t *testing.T) {
 	})
 }
 
-// TestOpenStoreComposition checks the CLI-knob mapping: no knobs means
-// no store, one knob means that bare backend, both mean a tiered
-// stack.
+// TestOpenStoreComposition checks the one store composition: a memory
+// tier unless memBytes < 0, then disk when a directory is given, then
+// remote when a URL is, fastest first; no tier at all means no store.
 func TestOpenStoreComposition(t *testing.T) {
 	origin := storetest.ServeStore(t, runner.NewMemStore(0))
-
-	s, err := runner.OpenStore("", "")
-	if err != nil || s != nil {
-		t.Fatalf("OpenStore(\"\", \"\") = %v, %v; want nil, nil", s, err)
+	for _, tc := range []struct {
+		name     string
+		dir, url bool
+		memBytes int64
+		want     []string
+	}{
+		{"no knobs", false, false, 0, []string{"mem", "tiered"}},
+		{"dir", true, false, 0, []string{"mem", "disk", "tiered"}},
+		{"url", false, true, 0, []string{"mem", "remote", "tiered"}},
+		{"dir and url", true, true, 0, []string{"mem", "disk", "remote", "tiered"}},
+		{"dir, no mem", true, false, -1, []string{"disk", "tiered"}},
+		{"dir and url, no mem", true, true, -1, []string{"disk", "remote", "tiered"}},
+	} {
+		dir, url := "", ""
+		if tc.dir {
+			dir = t.TempDir()
+		}
+		if tc.url {
+			url = origin
+		}
+		s, err := runner.OpenStore(dir, url, tc.memBytes)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []string
+		for _, ts := range s.PerTier() {
+			got = append(got, ts.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("%s: tiers %v, want %v", tc.name, got, tc.want)
+		}
 	}
-	s, err = runner.OpenStore(t.TempDir(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*runner.DiskStore); !ok {
-		t.Fatalf("OpenStore(dir, \"\") = %T, want *DiskStore", s)
-	}
-	s, err = runner.OpenStore("", origin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(*runner.RemoteStore); !ok {
-		t.Fatalf("OpenStore(\"\", url) = %T, want *RemoteStore", s)
-	}
-	s, err = runner.OpenStore(t.TempDir(), origin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiered, ok := s.(*runner.Tiered)
-	if !ok {
-		t.Fatalf("OpenStore(dir, url) = %T, want *Tiered", s)
-	}
-	per := tiered.PerTier()
-	if len(per) != 3 || per[0].Name != "disk" || per[1].Name != "remote" || per[2].Name != "tiered" {
-		t.Fatalf("OpenStore(dir, url) tiers = %+v, want disk, remote, tiered", per)
+	if s, err := runner.OpenStore("", "", -1); err != nil || s != nil {
+		t.Fatalf("OpenStore with no tier = %v, %v; want nil, nil", s, err)
 	}
 }
 

@@ -115,8 +115,8 @@ func FigureSpec(id string, o exp.SysOptions) (*Spec, error) {
 // ClaimFigures runs Figs. 17 and 18 at o's scale narrowed to RFM at
 // NRH 64, the point the paper's system claims read (exp.Takeaways T7
 // and T8, exp.ArtifactClaims C2.1 and C2.2), under ropt. The two
-// figures plan the same cells, so with a cache fig18 is served from
-// fig17's.
+// figures plan the same cells, so on one store (ropt.Store, which
+// every command opens once per process) fig18 is served from fig17's.
 func ClaimFigures(o exp.SysOptions, ropt RunOptions) (fig17, fig18 *exp.Table, err error) {
 	o.Mitigations, o.NRHs = []string{mitigation.NameRFM}, []int{64}
 	run := func(id string) (*exp.Table, error) {

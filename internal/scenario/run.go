@@ -19,16 +19,13 @@ type RunOptions struct {
 	// Parallel bounds the runner's worker pool (0 = all CPUs). Results
 	// are bit-identical at any worker count.
 	Parallel int
-	// CacheDir, when non-empty, persists per-cell results as JSON on
-	// disk; repeated runs at the same configuration skip finished
-	// cells. The cache is shared across scenarios: cells are addressed
-	// by their full resolved configuration, not by scenario name.
+	// CacheDir, when non-empty and Store is nil, persists per-cell
+	// results as JSON on disk (a disk-only runner.OpenStore stack
+	// opened for this one run); repeated runs at the same
+	// configuration skip finished cells. The cache is shared across
+	// scenarios: cells are addressed by their full resolved
+	// configuration, not by scenario name.
 	CacheDir string
-	// StoreURL, when non-empty, adds a remote store tier — a pacramd
-	// cache origin — behind the disk tier (see runner.OpenStore):
-	// cells finished by any client of the same build are fetched
-	// instead of recomputed, and computed cells are written back.
-	StoreURL string
 	// Progress, when non-nil, receives streaming progress and ETA
 	// lines (typically os.Stderr).
 	Progress io.Writer
@@ -38,8 +35,9 @@ type RunOptions struct {
 	// concurrent executions are computed once. The sweep service runs
 	// every submission this way.
 	Pool *runner.Pool[sim.Result]
-	// Store, when non-nil, is a pre-opened shared result store; it
-	// takes precedence over CacheDir and StoreURL.
+	// Store, when non-nil, is a pre-opened shared result store (the
+	// commands' runner.OpenStore stack, the daemon's); it takes
+	// precedence over CacheDir.
 	Store runner.Store
 	// Remote, when non-nil, may execute owner-path cells on fleet
 	// workers (see runner.Options.Remote); results stay byte-identical
@@ -87,11 +85,12 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 		Trace:       opt.Trace,
 		TraceID:     opt.TraceID,
 	}
-	if ropt.Store == nil {
-		var err error
-		if ropt, err = ropt.WithStore(opt.CacheDir, opt.StoreURL); err != nil {
+	if ropt.Store == nil && opt.CacheDir != "" {
+		st, err := runner.OpenStore(opt.CacheDir, "", -1)
+		if err != nil {
 			return nil, err
 		}
+		ropt.Store = st
 	}
 	var results map[string]sim.Result
 	var err error

@@ -88,11 +88,11 @@ const defaultRetainJobs = 256
 type Server struct {
 	pool *runner.Pool[sim.Result]
 	// store is the shared tiered result store (mem → disk [→ remote]);
-	// disk is its disk tier, kept for StoreDir/Close. privateStore
-	// marks a disk tier the server created itself (a temp dir) and
-	// therefore owns.
+	// dir is its disk tier's directory, kept for StoreDir/Close.
+	// privateStore marks a directory the server created itself (a temp
+	// dir) and therefore owns.
 	store        *runner.Tiered
-	disk         *runner.DiskStore
+	dir          string
 	privateStore bool
 	log          *slog.Logger
 	mux          *http.ServeMux
@@ -172,22 +172,14 @@ func New(cfg Config) (*Server, error) {
 		}
 		dir, private = tmp, true
 	}
-	disk, err := runner.NewDiskStore(dir)
+	store, err := runner.OpenStore(dir, cfg.StoreURL, cfg.MemStoreBytes)
 	if err != nil {
 		return nil, err
 	}
-	var tiers []runner.Store
-	if cfg.MemStoreBytes >= 0 {
-		tiers = append(tiers, runner.NewMemStore(cfg.MemStoreBytes))
-	}
-	tiers = append(tiers, disk)
-	if cfg.StoreURL != "" {
-		tiers = append(tiers, runner.NewRemoteStore(cfg.StoreURL))
-	}
 	s := &Server{
 		pool:         runner.NewPool[sim.Result](cfg.Workers),
-		store:        runner.NewTiered(tiers...),
-		disk:         disk,
+		store:        store,
+		dir:          dir,
 		privateStore: private,
 		log:          cfg.Logger,
 		reg:          telemetry.New(),
@@ -277,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // StoreDir returns the result store's disk-tier directory.
-func (s *Server) StoreDir() string { return s.disk.Dir() }
+func (s *Server) StoreDir() string { return s.dir }
 
 // Workers returns the shared pool's effective concurrency bound.
 func (s *Server) Workers() int { return s.pool.Workers() }
@@ -290,7 +282,7 @@ func (s *Server) Close() error {
 	if !s.privateStore {
 		return nil
 	}
-	return os.RemoveAll(s.disk.Dir())
+	return os.RemoveAll(s.dir)
 }
 
 // Drain stops accepting new submissions (503) and waits for running

@@ -116,12 +116,10 @@ type Membership struct {
 		Info(msg string, args ...any)
 		Warn(msg string, args ...any)
 	}
-	register  RegisterRequest
-	interval  time.Duration
-	cancel    context.CancelFunc
-	done      chan struct{}
-	mu        sync.Mutex
-	connected bool
+	register RegisterRequest
+	interval time.Duration
+	cancel   context.CancelFunc
+	done     chan struct{}
 }
 
 // JoinFleet registers this daemon as a worker of the coordinator at
@@ -175,19 +173,8 @@ func (m *Membership) tryRegister() bool {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err == nil && m.interval <= 0 && out.TTLMillis > 0 {
 		m.interval = time.Duration(out.TTLMillis) * time.Millisecond / 3
 	}
-	m.mu.Lock()
-	m.connected = true
-	m.mu.Unlock()
 	m.log.Info("joined fleet", "coordinator", m.coordinator, "worker", m.name)
 	return true
-}
-
-// Connected reports whether the last register/heartbeat round trip
-// succeeded (tests and the daemon's startup log use it).
-func (m *Membership) Connected() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.connected
 }
 
 func (m *Membership) loop(ctx context.Context) {
@@ -209,9 +196,6 @@ func (m *Membership) loop(ctx context.Context) {
 		}
 		resp, err := m.post(pathFabricHeartbeat, HeartbeatRequest{Name: m.name})
 		if err != nil {
-			m.mu.Lock()
-			m.connected = false
-			m.mu.Unlock()
 			m.log.Warn("fleet heartbeat failed; will re-register", "err", err)
 			registered = false
 			continue

@@ -341,11 +341,6 @@ func newHammerGen(geo ddr.Geometry, mopWidth, victim int) *hammerGen {
 }
 
 func (g *hammerGen) Name() string { return "hammer" }
-func (g *hammerGen) Clone() trace.Generator {
-	n := *g
-	n.i = 0
-	return &n
-}
 func (g *hammerGen) Next() trace.Record {
 	g.i++
 	side := g.i % 2

@@ -53,9 +53,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
 }
 
-// IQR returns the inter-quartile range Q3-Q1.
-func (s Summary) IQR() float64 { return s.Q3 - s.Q1 }
-
 // Quantile returns the q-quantile (0 <= q <= 1) of an already sorted
 // slice using linear interpolation between order statistics.
 func Quantile(sorted []float64, q float64) float64 {

@@ -63,7 +63,7 @@ type AttackSpec struct {
 }
 
 // WithDefaults returns the spec with zero fields replaced by defaults,
-// so clones and fingerprints see one canonical shape.
+// so generators and fingerprints see one canonical shape.
 func (s AttackSpec) WithDefaults() AttackSpec {
 	if s.Sides == 0 {
 		s.Sides = 2
@@ -125,7 +125,6 @@ func (s AttackSpec) Validate() error {
 // at base + 2*i*stride; victims at the odd multiples in between.
 type attacker struct {
 	spec AttackSpec
-	seed uint64
 	rng  *xrand.Rand
 	base uint64
 	idx  int
@@ -136,8 +135,8 @@ type attacker struct {
 	sinceRest int    // accesses emitted since the last rest window
 }
 
-// NewAttacker builds a deterministic adversarial generator. Clones
-// restart the identical sequence.
+// NewAttacker builds a deterministic adversarial generator: two built
+// from the same spec and seed emit the same stream.
 func NewAttacker(spec AttackSpec, seed uint64) (Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -145,7 +144,6 @@ func NewAttacker(spec AttackSpec, seed uint64) (Generator, error) {
 	spec = spec.WithDefaults()
 	g := &attacker{
 		spec: spec,
-		seed: seed,
 		rng:  xrand.Derive(seed, 0xA77, hashName(spec.Name)),
 	}
 	span := uint64(2*spec.Sides+1) * uint64(spec.StrideBytes)
@@ -155,14 +153,6 @@ func NewAttacker(spec AttackSpec, seed uint64) (Generator, error) {
 }
 
 func (g *attacker) Name() string { return g.spec.Name }
-
-func (g *attacker) Clone() Generator {
-	ng, err := NewAttacker(g.spec, g.seed)
-	if err != nil {
-		panic(err) // spec already validated
-	}
-	return ng
-}
 
 func (g *attacker) Next() Record {
 	rec := Record{Bubbles: g.spec.Bubbles}
@@ -208,15 +198,14 @@ type Phase struct {
 type phased struct {
 	name   string
 	phases []Phase
-	seed   uint64
 	gens   []Generator
 	cur    int
 	left   int
 }
 
 // NewPhased builds a generator that cycles through the phases. Each
-// phase's sub-stream is seeded independently; clones restart the
-// identical sequence.
+// phase's sub-stream is seeded independently; two built from the same
+// phases and seed emit the same stream.
 func NewPhased(name string, phases []Phase, seed uint64) (Generator, error) {
 	if name == "" {
 		return nil, fmt.Errorf("trace: phased workload needs a name")
@@ -224,7 +213,7 @@ func NewPhased(name string, phases []Phase, seed uint64) (Generator, error) {
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("trace: %s: phased workload needs at least one phase", name)
 	}
-	g := &phased{name: name, phases: phases, seed: seed}
+	g := &phased{name: name, phases: phases}
 	for i, p := range phases {
 		if p.Accesses < 1 {
 			return nil, fmt.Errorf("trace: %s: phase %d needs Accesses >= 1", name, i)
@@ -243,14 +232,6 @@ func NewPhased(name string, phases []Phase, seed uint64) (Generator, error) {
 }
 
 func (g *phased) Name() string { return g.name }
-
-func (g *phased) Clone() Generator {
-	ng, err := NewPhased(g.name, g.phases, g.seed)
-	if err != nil {
-		panic(err) // phases already validated
-	}
-	return ng
-}
 
 func (g *phased) Next() Record {
 	if g.left == 0 {

@@ -4,29 +4,21 @@ import (
 	"testing"
 )
 
-// checkCloneReplays verifies the Generator.Clone contract: a clone
-// taken at any stream position replays the identical record sequence
-// as a generator built fresh from the same parameters.
-func checkCloneReplays(t *testing.T, fresh func() Generator) {
+// checkSameStream verifies the determinism the planner relies on when
+// it rebuilds a cell's generators for every run: two generators built
+// from the same parameters have the same name and emit the identical
+// record sequence.
+func checkSameStream(t *testing.T, fresh func() Generator) {
 	t.Helper()
-	const n, advance = 512, 137
-	want := Capture(fresh(), n)
-
-	g := fresh()
-	for _, offset := range []int{0, advance} {
-		for i := 0; i < offset; i++ {
-			g.Next()
-		}
-		c := g.Clone()
-		if c.Name() != g.Name() {
-			t.Fatalf("clone renamed workload: %q != %q", c.Name(), g.Name())
-		}
-		got := Capture(c, n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("clone after %d records diverges at record %d: got %+v, want %+v",
-					offset, i, got[i], want[i])
-			}
+	const n = 512
+	a, b := fresh(), fresh()
+	if a.Name() != b.Name() {
+		t.Fatalf("same parameters, different names: %q != %q", a.Name(), b.Name())
+	}
+	want, got := Capture(a, n), Capture(b, n)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("same parameters, streams diverge at record %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -36,7 +28,7 @@ func TestCloneDeterminismSynthetic(t *testing.T) {
 	for _, pattern := range []AccessPattern{PatternStream, PatternRandom, PatternZipf, PatternMixed} {
 		t.Run(pattern.String(), func(t *testing.T) {
 			spec := Spec{
-				Name:        "clone-" + pattern.String(),
+				Name:        "fresh-" + pattern.String(),
 				BubbleMean:  30,
 				Pattern:     pattern,
 				FootprintMB: 32,
@@ -44,7 +36,7 @@ func TestCloneDeterminismSynthetic(t *testing.T) {
 				WriteFrac:   0.3,
 				ZipfTheta:   0.9,
 			}
-			checkCloneReplays(t, func() Generator {
+			checkSameStream(t, func() Generator {
 				g, err := New(spec, 0xC10E)
 				if err != nil {
 					t.Fatal(err)
@@ -64,7 +56,7 @@ func TestCloneDeterminismCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkCloneReplays(t, func() Generator {
+			checkSameStream(t, func() Generator {
 				g, err := New(spec, 7)
 				if err != nil {
 					t.Fatal(err)
@@ -77,7 +69,7 @@ func TestCloneDeterminismCatalog(t *testing.T) {
 
 func TestCloneDeterminismAttacker(t *testing.T) {
 	spec := AttackSpec{Sides: 2, VictimEvery: 16, Bubbles: 2}
-	checkCloneReplays(t, func() Generator {
+	checkSameStream(t, func() Generator {
 		g, err := NewAttacker(spec, 0xBAD)
 		if err != nil {
 			t.Fatal(err)
@@ -91,7 +83,7 @@ func TestCloneDeterminismPhased(t *testing.T) {
 		{Spec: Spec{Name: "serve", BubbleMean: 40, Pattern: PatternZipf, FootprintMB: 64, ZipfTheta: 0.99}, Accesses: 100},
 		{Spec: Spec{Name: "batch", BubbleMean: 12, Pattern: PatternStream, FootprintMB: 128, BurstLen: 64}, Accesses: 60},
 	}
-	checkCloneReplays(t, func() Generator {
+	checkSameStream(t, func() Generator {
 		g, err := NewPhased("diurnal", phases, 0x11)
 		if err != nil {
 			t.Fatal(err)
@@ -138,7 +130,7 @@ func TestCloneDeterminismReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := Capture(src, 64)
-	checkCloneReplays(t, func() Generator {
+	checkSameStream(t, func() Generator {
 		g, err := NewReplay("replay", recs)
 		if err != nil {
 			t.Fatal(err)

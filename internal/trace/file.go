@@ -177,10 +177,6 @@ func NewReplay(name string, recs []Record) (Generator, error) {
 
 func (g *replay) Name() string { return g.name }
 
-func (g *replay) Clone() Generator {
-	return &replay{name: g.name, recs: g.recs}
-}
-
 func (g *replay) Next() Record {
 	r := g.recs[g.pos]
 	g.pos++

@@ -115,12 +115,6 @@ func TestReplayLoops(t *testing.T) {
 			t.Fatalf("replay %d: %+v != %+v", i, got, want)
 		}
 	}
-	// Clone restarts.
-	g.Next()
-	c := g.Clone()
-	if got := c.Next(); got != recs[0] {
-		t.Fatalf("clone did not restart: %+v", got)
-	}
 	if g.Name() != "t" {
 		t.Fatal("name lost")
 	}

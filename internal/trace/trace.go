@@ -29,9 +29,6 @@ type Generator interface {
 	Next() Record
 	// Name identifies the workload.
 	Name() string
-	// Clone returns an independent generator restarted from the
-	// beginning of the stream (same sequence).
-	Clone() Generator
 }
 
 // AccessPattern classifies the address behaviour of a workload.
@@ -108,7 +105,6 @@ const lineBytes = 64
 // synthetic implements Generator for a Spec.
 type synthetic struct {
 	spec Spec
-	seed uint64
 	rng  *xrand.Rand
 	zipf *xrand.Zipf
 
@@ -118,14 +114,13 @@ type synthetic struct {
 }
 
 // New builds a deterministic generator for the spec with the given
-// seed. Clones restart the identical sequence.
+// seed: two built from the same spec and seed emit the same stream.
 func New(spec Spec, seed uint64) (Generator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	g := &synthetic{
 		spec:  spec,
-		seed:  seed,
 		rng:   xrand.Derive(seed, 0x77, hashName(spec.Name)),
 		lines: uint64(spec.FootprintMB) * 1024 * 1024 / lineBytes,
 	}
@@ -149,14 +144,6 @@ func hashName(s string) uint64 {
 }
 
 func (g *synthetic) Name() string { return g.spec.Name }
-
-func (g *synthetic) Clone() Generator {
-	ng, err := New(g.spec, g.seed)
-	if err != nil {
-		panic(err) // spec already validated
-	}
-	return ng
-}
 
 func (g *synthetic) Next() Record {
 	rec := Record{

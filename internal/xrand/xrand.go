@@ -90,14 +90,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n with non-positive n")
-	}
-	return int64(r.Uint64() % uint64(n))
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
 
