@@ -20,20 +20,6 @@ func (b *bank) reset() {
 	b.lastAggressor = -1
 }
 
-// free reports whether the bank can accept a command at cycle.
-func (b *bank) free(cycle uint64) bool { return cycle >= b.busyTill }
-
-// canACT reports whether an ACT may issue at cycle (bank-local timing
-// only; rank constraints checked separately).
-func (b *bank) canACT(cycle uint64) bool {
-	return b.free(cycle) && b.openRow == -1 && cycle >= b.actReady
-}
-
-// canPRE reports whether a PRE may issue at cycle.
-func (b *bank) canPRE(cycle uint64) bool {
-	return b.free(cycle) && b.openRow != -1 && cycle >= b.preReady
-}
-
 // rank tracks rank-level constraints: tFAW, tRRD, refresh.
 type rank struct {
 	lastActs   [4]uint64 // ring of the last four ACT cycles (tFAW)
@@ -42,24 +28,6 @@ type rank struct {
 	refPending bool
 	nextRefAt  uint64
 	busyTill   uint64 // REF/RFM in progress
-}
-
-// canACT reports whether rank-level constraints admit an ACT at cycle.
-func (r *rank) canACT(cycle uint64, tFAW, tRRD uint64) bool {
-	if cycle < r.busyTill {
-		return false
-	}
-	if r.refPending {
-		return false // refresh has priority: block new activates
-	}
-	if r.lastAct != 0 && cycle < r.lastAct+tRRD {
-		return false
-	}
-	oldest := r.lastActs[r.actIdx]
-	if oldest != 0 && cycle < oldest+tFAW {
-		return false
-	}
-	return true
 }
 
 // recordACT notes an ACT at cycle for tFAW/tRRD tracking.

@@ -48,6 +48,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate checks the controller parameters that Geometry.Validate
+// and Timing.Validate do not: a positive CPU clock, room in both
+// queues, ordered drain watermarks within the write queue, and a
+// non-negative blast radius. A zero-depth queue would stall every
+// request until the cycle budget ran out, so this rejects it up front.
+func (cfg Config) Validate() error {
+	switch {
+	case !(cfg.CPUFreqGHz > 0):
+		return fmt.Errorf("memsys: CPU frequency must be positive, got %g GHz", cfg.CPUFreqGHz)
+	case cfg.ReadQueue < 1 || cfg.WriteQueue < 1:
+		return fmt.Errorf("memsys: queue depths must be >= 1, got read %d, write %d", cfg.ReadQueue, cfg.WriteQueue)
+	case !(0 <= cfg.DrainLo && cfg.DrainLo <= cfg.DrainHi && cfg.DrainHi <= 1):
+		return fmt.Errorf("memsys: drain watermarks need 0 <= DrainLo <= DrainHi <= 1, got %g and %g", cfg.DrainLo, cfg.DrainHi)
+	case cfg.BlastRadius < 0:
+		return fmt.Errorf("memsys: blast radius must be >= 0, got %d", cfg.BlastRadius)
+	}
+	return nil
+}
+
 // vrrReq is a queued preventive refresh.
 type vrrReq struct {
 	bank, row int
@@ -98,8 +117,9 @@ type Controller struct {
 	events uint64
 
 	// rdHits/wrHits are the row-hit index (see hitIndex); ready is
-	// firstReadyColumn's scratch bitset of column-ready hit banks, and
-	// bankGroup maps a flat bank to its dense bank-group index.
+	// readyHits' scratch bitset of the hit banks whose column command
+	// can issue now, and bankGroup maps a flat bank to its dense
+	// bank-group index.
 	rdHits, wrHits hitIndex
 	ready          []uint64
 	bankGroup      []int
@@ -128,11 +148,11 @@ func NewController(cfg Config, mitig Mitigation, policy RefreshPolicy) (*Control
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Geometry.Channels != 1 {
 		return nil, fmt.Errorf("memsys: Controller models one channel, got Geometry.Channels = %d (use NewSystem for multi-channel)", cfg.Geometry.Channels)
-	}
-	if cfg.CPUFreqGHz <= 0 {
-		return nil, fmt.Errorf("memsys: CPU frequency must be positive")
 	}
 	mapper, err := ddr.NewMOPMapper(cfg.Geometry, cfg.MOPWidth)
 	if err != nil {
@@ -327,17 +347,279 @@ func (c *Controller) Tick() {
 		}
 	}
 
-	// One command per cycle, in priority order.
-	if c.tryRefresh() {
-		return
+	c.schedule(true)
+}
+
+// schedule is the controller's one statement of its scheduling rules.
+// It walks the command candidates in Tick's priority order: a pending
+// rank's REF (or the PRE it waits on), queued RFMs, queued preventive
+// refreshes (VRR), ready read columns, ready write columns while the
+// write queue is active, then the FCFS head's ACT or PRE. For each it
+// computes the first cycle the candidate can issue.
+//
+// In issue mode (Tick) the first candidate ready now issues and the
+// walk returns Cycle(). A dry run (NextEvent) issues nothing and
+// mutates nothing but the c.ready scratch bitset: it returns Cycle()
+// once a candidate is ready by the next tick, below which NextEvent
+// clamps anyway. Otherwise the walk returns the minimum ready cycle
+// (^0 when nothing is queued). Every gate is a "cycle >= deadline"
+// test on state that only a command, a refresh transition or an Issue
+// moves, so until one happens no tick before the dry run's minimum
+// can issue.
+func (c *Controller) schedule(issue bool) uint64 {
+	// due is the latest ready cycle that ends the walk.
+	due := c.cycle
+	if !issue {
+		due++
 	}
-	if c.tryRFM() {
-		return
+	h := ^uint64(0)
+
+	// Periodic refresh: while a REF is pending, rowReadyAt blocks new
+	// ACTs, so the rank drains; its open banks are precharged here.
+	nb := c.cfg.Geometry.Banks()
+	for r := range c.ranks {
+		rk := &c.ranks[r]
+		if !rk.refPending {
+			continue
+		}
+		if c.cycle < rk.busyTill {
+			h = min(h, rk.busyTill)
+			continue
+		}
+		idle := true
+		for b := r * nb; b < (r+1)*nb; b++ {
+			bk := &c.banks[b]
+			at := bk.busyTill
+			if bk.openRow != -1 {
+				at = max(at, bk.preReady)
+				if at <= due {
+					if issue {
+						c.issuePRE(b)
+					}
+					return c.cycle
+				}
+			}
+			if at > c.cycle {
+				idle = false
+				h = min(h, at)
+			}
+		}
+		if idle {
+			if issue {
+				c.issueREF(r)
+			}
+			return c.cycle
+		}
 	}
-	if c.tryVRR() {
-		return
+
+	for i, req := range c.rfmQ {
+		at := c.restoreReadyAt(req.bank, req.rank, false)
+		if at > due {
+			h = min(h, at)
+			continue
+		}
+		if issue {
+			if c.banks[req.bank].openRow != -1 {
+				c.issuePRE(req.bank)
+			} else {
+				c.issueRFM(i)
+			}
+		}
+		return c.cycle
 	}
-	c.tryDemand()
+
+	for i, req := range c.vrrQ {
+		at := c.restoreReadyAt(req.bank, c.bankRank(req.bank), true)
+		if at > due {
+			h = min(h, at)
+			continue
+		}
+		if issue {
+			if c.banks[req.bank].openRow != -1 {
+				c.issuePRE(req.bank)
+			} else {
+				c.issueVRR(i)
+			}
+		}
+		return c.cycle
+	}
+	if h <= due {
+		return c.cycle
+	}
+
+	// Demand. Write drain hysteresis: the flag follows queue occupancy,
+	// which is fixed until the next tick, so a dry run projects it.
+	draining := c.draining
+	if !draining && len(c.writeQ) >= int(float64(c.cfg.WriteQueue)*c.cfg.DrainHi) {
+		draining = true
+	}
+	if draining && len(c.writeQ) <= int(float64(c.cfg.WriteQueue)*c.cfg.DrainLo) {
+		draining = false
+	}
+	if issue {
+		c.draining = draining
+	}
+	useWrite := draining || len(c.readQ) == 0
+
+	// First ready: the oldest row hit whose column command can issue.
+	// Ready read columns always take priority — even mid-drain —
+	// otherwise a drain whose writes conflict with an open read row
+	// can livelock the read (close the row at tRAS, reopen, repeat).
+	for _, write := range [2]bool{false, true} {
+		if write && !useWrite {
+			break
+		}
+		at, i := c.readyHits(write, issue)
+		if at <= due {
+			if issue {
+				c.issueColumn(c.queue(write), i)
+			}
+			return c.cycle
+		}
+		h = min(h, at)
+	}
+
+	// Then FCFS: the oldest request of the active queue makes row
+	// progress.
+	q := *c.queue(useWrite)
+	if len(q) == 0 {
+		return h
+	}
+	req := q[0]
+	at := c.rowReadyAt(req)
+	if at > due {
+		return min(h, at)
+	}
+	if issue {
+		if c.banks[req.bank].openRow == -1 {
+			c.issueACT(req.bank, req.Addr.Row, req.Meta)
+		} else {
+			c.issuePRE(req.bank)
+		}
+	}
+	return c.cycle
+}
+
+// restoreReadyAt returns the first cycle a queued RFM or VRR on bank b
+// of rank r can make progress: once the rank is free, a PRE if the
+// bank is open, else the restore itself when the bank is free and, for
+// a VRR (act: it activates the row), past its tRP.
+func (c *Controller) restoreReadyAt(b, r int, act bool) uint64 {
+	if rk := &c.ranks[r]; c.cycle < rk.busyTill {
+		return rk.busyTill
+	}
+	bk := &c.banks[b]
+	switch {
+	case bk.openRow != -1:
+		return max(bk.busyTill, bk.preReady)
+	case act:
+		return max(bk.busyTill, bk.actReady)
+	}
+	return bk.busyTill
+}
+
+// rowReadyAt returns the first cycle req's bank can make row progress
+// toward it: an ACT when the bank is closed (bank timing, the rank's
+// tRRD/tFAW, and no refresh in progress or pending), a PRE when
+// another row is open. A row hit (^0) is the column stage's business,
+// and so is a pending REF's own issue time.
+func (c *Controller) rowReadyAt(req *Request) uint64 {
+	bk := &c.banks[req.bank]
+	switch bk.openRow {
+	case req.Addr.Row:
+		return ^uint64(0)
+	case -1:
+		rk := &c.ranks[c.bankRank(req.bank)]
+		if rk.refPending {
+			return ^uint64(0)
+		}
+		at := max(bk.busyTill, bk.actReady, rk.busyTill)
+		if rk.lastAct != 0 {
+			at = max(at, rk.lastAct+c.cRRD)
+		}
+		if oldest := rk.lastActs[rk.actIdx]; oldest != 0 {
+			at = max(at, oldest+c.cFAW)
+		}
+		return at
+	}
+	return max(bk.busyTill, bk.preReady)
+}
+
+// readyHits is schedule's column stage for the read (or write) queue.
+// Every column gate but the row match is per bank, so it walks the
+// row-hit index's banks instead of the queue: it returns the earliest
+// cycle any of them admits a column command, data bus included (^0
+// with no hits). In issue mode, once that cycle has come, it also
+// returns the oldest queued request on a ready bank that hits the open
+// row (else -1); a busy bus settles that in O(1), and only then is the
+// queue scanned. A dry run stops once the minimum reaches the next
+// tick.
+func (c *Controller) readyHits(write, issue bool) (uint64, int) {
+	busAt := satSub(c.busUntil, c.cCL)
+	if write {
+		busAt = satSub(c.busUntil, c.cCWL)
+	}
+	if issue && busAt > c.cycle {
+		return busAt, -1
+	}
+	h := ^uint64(0)
+	for w, word := range c.hits(write).set {
+		var r uint64
+		for word != 0 {
+			t := bits.TrailingZeros64(word)
+			word &= word - 1
+			at := max(c.columnReadyAt(w<<6|t, write), busAt)
+			if at <= c.cycle {
+				r |= 1 << t
+			}
+			if at < h {
+				h = at
+				if !issue && h <= c.cycle+1 {
+					return h, -1
+				}
+			}
+		}
+		c.ready[w] = r
+	}
+	if !issue || h > c.cycle {
+		return h, -1
+	}
+	for i, req := range *c.queue(write) {
+		b := req.bank
+		if c.ready[b>>6]&(1<<(b&63)) != 0 && c.banks[b].openRow == req.Addr.Row {
+			return h, i
+		}
+	}
+	return h, -1 // unreachable: every indexed bank has a queued hit
+}
+
+// columnReadyAt returns the first cycle bank b's gates admit a read
+// (or write) column command, the shared data bus aside: the bank is
+// free, its tRCD/tCCD chain has elapsed, and so has its bank group's
+// tCCD_L.
+func (c *Controller) columnReadyAt(b int, write bool) uint64 {
+	bk := &c.banks[b]
+	colReady := bk.rdReady
+	if write {
+		colReady = bk.wrReady
+	}
+	return max(bk.busyTill, colReady, c.bgColReady[c.bankGroup[b]])
+}
+
+// satSub is a - b saturating at zero.
+func satSub(a, b uint64) uint64 {
+	if a < b {
+		return 0
+	}
+	return a - b
+}
+
+// queue returns the read or write queue.
+func (c *Controller) queue(write bool) *[]*Request {
+	if write {
+		return &c.writeQ
+	}
+	return &c.readQ
 }
 
 // bankRank returns the rank index of flat bank b.
@@ -345,135 +627,76 @@ func (c *Controller) bankRank(b int) int {
 	return b / c.cfg.Geometry.Banks()
 }
 
-// tryRefresh issues a pending periodic REF if its rank is quiescent.
-// While a refresh is pending, rank.canACT blocks new activates, so the
-// rank drains naturally; open banks are precharged here.
-func (c *Controller) tryRefresh() bool {
-	for r := range c.ranks {
-		rk := &c.ranks[r]
-		if !rk.refPending || c.cycle < rk.busyTill {
-			continue
-		}
-		// Precharge any open bank in the rank first.
-		base := r * c.cfg.Geometry.Banks()
-		allClosed := true
-		for b := base; b < base+c.cfg.Geometry.Banks(); b++ {
-			bk := &c.banks[b]
-			if bk.openRow != -1 {
-				allClosed = false
-				if bk.canPRE(c.cycle) {
-					c.issuePRE(b)
-					return true
-				}
-			} else if !bk.free(c.cycle) {
-				allClosed = false
-			}
-		}
-		if !allClosed {
-			continue
-		}
-		// All banks idle: issue REF.
-		scale := c.policy.PeriodicScale(c.nowNs())
-		dur := uint64(float64(c.cRFC) * scale)
-		if dur == 0 {
-			dur = 1
-		}
-		rk.busyTill = c.cycle + dur
-		rk.refPending = false
-		rk.nextRefAt += c.cREFI
-		for b := base; b < base+c.cfg.Geometry.Banks(); b++ {
-			c.banks[b].busyTill = rk.busyTill
-			c.banks[b].actReady = rk.busyTill
-		}
-		c.stats.Refs++
-		c.stats.RefBusy += dur * uint64(c.cfg.Geometry.Banks())
-		c.stats.RefRestoreNs += c.cfg.Timing.TRFC * scale
-		c.events++
-		return true
+// issueREF refreshes rank r, whose banks are all closed and idle. The
+// refresh policy scales tRFC.
+func (c *Controller) issueREF(r int) {
+	rk := &c.ranks[r]
+	scale := c.policy.PeriodicScale(c.nowNs())
+	dur := uint64(float64(c.cRFC) * scale)
+	if dur == 0 {
+		dur = 1
 	}
-	return false
+	rk.busyTill = c.cycle + dur
+	rk.refPending = false
+	rk.nextRefAt += c.cREFI
+	nb := c.cfg.Geometry.Banks()
+	for b := r * nb; b < (r+1)*nb; b++ {
+		c.banks[b].busyTill = rk.busyTill
+		c.banks[b].actReady = rk.busyTill
+	}
+	c.stats.Refs++
+	c.stats.RefBusy += dur * uint64(nb)
+	c.stats.RefRestoreNs += c.cfg.Timing.TRFC * scale
+	c.events++
 }
 
-// tryRFM services a queued RFM: the DRAM internally refreshes the
-// neighbourhood (±BlastRadius) of the bank's last aggressor, each
-// victim at the hold time the refresh policy dictates (§8.5).
-func (c *Controller) tryRFM() bool {
-	for i, req := range c.rfmQ {
-		rk := &c.ranks[req.rank]
-		if c.cycle < rk.busyTill {
-			continue
-		}
-		bk := &c.banks[req.bank]
-		if bk.openRow != -1 {
-			if bk.canPRE(c.cycle) {
-				c.issuePRE(req.bank)
-				return true
-			}
-			continue
-		}
-		if !bk.free(c.cycle) {
-			continue
-		}
-		// Service: refresh the aggressor's neighbourhood inside DRAM.
-		aggr := bk.lastAggressor
-		var serviceNs float64
-		rows := c.victimRows(aggr)
-		for _, row := range rows {
-			hold := c.policy.VRRHold(req.bank, row, c.nowNs())
-			serviceNs += hold + c.cfg.Timing.TRP
-			c.recordVRRLatency(hold)
-			if c.audit != nil {
-				c.audit(req.bank, row, true)
-			}
-		}
-		if len(rows) == 0 {
-			serviceNs = c.cfg.Timing.TRFM
-		}
-		dur := c.cycles(serviceNs)
-		bk.busyTill = c.cycle + dur
-		bk.actReady = bk.busyTill
-		c.stats.RFMs++
-		c.stats.PrevRefBusy += dur
-		c.stats.VRRs += uint64(len(rows))
-		c.rfmQ = append(c.rfmQ[:i], c.rfmQ[i+1:]...)
-		c.events++
-		return true
-	}
-	return false
-}
-
-// tryVRR services one queued preventive refresh.
-func (c *Controller) tryVRR() bool {
-	for i, req := range c.vrrQ {
-		bk := &c.banks[req.bank]
-		if c.cycle < c.ranks[c.bankRank(req.bank)].busyTill {
-			continue
-		}
-		if bk.openRow != -1 {
-			if bk.canPRE(c.cycle) {
-				c.issuePRE(req.bank)
-				return true
-			}
-			continue
-		}
-		if !bk.canACT(c.cycle) {
-			continue
-		}
-		hold := c.policy.VRRHold(req.bank, req.row, c.nowNs())
-		dur := c.cycles(hold + c.cfg.Timing.TRP)
-		bk.busyTill = c.cycle + dur
-		bk.actReady = bk.busyTill
+// issueRFM services c.rfmQ[i] on its closed, free bank: the DRAM
+// internally refreshes the neighbourhood (±BlastRadius) of the bank's
+// last aggressor, each victim at the hold time the refresh policy
+// dictates (§8.5).
+func (c *Controller) issueRFM(i int) {
+	req := c.rfmQ[i]
+	bk := &c.banks[req.bank]
+	var serviceNs float64
+	rows := c.victimRows(bk.lastAggressor)
+	for _, row := range rows {
+		hold := c.policy.VRRHold(req.bank, row, c.nowNs())
+		serviceNs += hold + c.cfg.Timing.TRP
 		c.recordVRRLatency(hold)
-		c.stats.VRRs++
-		c.stats.PrevRefBusy += dur
 		if c.audit != nil {
-			c.audit(req.bank, req.row, true)
+			c.audit(req.bank, row, true)
 		}
-		c.vrrQ = append(c.vrrQ[:i], c.vrrQ[i+1:]...)
-		c.events++
-		return true
 	}
-	return false
+	if len(rows) == 0 {
+		serviceNs = c.cfg.Timing.TRFM
+	}
+	dur := c.cycles(serviceNs)
+	bk.busyTill = c.cycle + dur
+	bk.actReady = bk.busyTill
+	c.stats.RFMs++
+	c.stats.PrevRefBusy += dur
+	c.stats.VRRs += uint64(len(rows))
+	c.rfmQ = append(c.rfmQ[:i], c.rfmQ[i+1:]...)
+	c.events++
+}
+
+// issueVRR services the preventive refresh c.vrrQ[i] on its closed,
+// free bank.
+func (c *Controller) issueVRR(i int) {
+	req := c.vrrQ[i]
+	bk := &c.banks[req.bank]
+	hold := c.policy.VRRHold(req.bank, req.row, c.nowNs())
+	dur := c.cycles(hold + c.cfg.Timing.TRP)
+	bk.busyTill = c.cycle + dur
+	bk.actReady = bk.busyTill
+	c.recordVRRLatency(hold)
+	c.stats.VRRs++
+	c.stats.PrevRefBusy += dur
+	if c.audit != nil {
+		c.audit(req.bank, req.row, true)
+	}
+	c.vrrQ = append(c.vrrQ[:i], c.vrrQ[i+1:]...)
+	c.events++
 }
 
 func (c *Controller) recordVRRLatency(holdNs float64) {
@@ -503,107 +726,6 @@ func (c *Controller) victimRows(aggr int) []int {
 	}
 	c.victimScratch = rows
 	return rows
-}
-
-// tryDemand schedules one demand command with FR-FCFS.
-func (c *Controller) tryDemand() {
-	// Write drain hysteresis.
-	if !c.draining && len(c.writeQ) >= int(float64(c.cfg.WriteQueue)*c.cfg.DrainHi) {
-		c.draining = true
-	}
-	if c.draining && len(c.writeQ) <= int(float64(c.cfg.WriteQueue)*c.cfg.DrainLo) {
-		c.draining = false
-	}
-	q := &c.readQ
-	if c.draining || len(c.readQ) == 0 {
-		q = &c.writeQ
-	}
-
-	// First ready: oldest row-hit whose column command can issue now.
-	// Ready read columns always take priority — even mid-drain —
-	// otherwise a drain whose writes conflict with an open read row
-	// can livelock the read (close the row at tRAS, reopen, repeat).
-	if i, b := c.firstReadyColumn(false); i >= 0 {
-		c.issueColumn(i, &c.readQ, b)
-		return
-	}
-	if q == &c.writeQ {
-		if i, b := c.firstReadyColumn(true); i >= 0 {
-			c.issueColumn(i, &c.writeQ, b)
-			return
-		}
-	}
-	if len(*q) == 0 {
-		return
-	}
-	// Then FCFS: progress the oldest request.
-	req := (*q)[0]
-	b := req.bank
-	bk := &c.banks[b]
-	switch {
-	case bk.openRow == -1:
-		if bk.canACT(c.cycle) && c.ranks[c.bankRank(b)].canACT(c.cycle, c.cFAW, c.cRRD) {
-			c.issueACT(b, req.Addr.Row, req.Meta)
-		}
-	case bk.openRow != req.Addr.Row:
-		if bk.canPRE(c.cycle) {
-			c.issuePRE(b)
-		}
-	}
-}
-
-// firstReadyColumn returns the oldest request in the read (or write)
-// queue whose column command can issue this cycle, with its bank (-1
-// if none). Every gate but the row match is per bank, so it answers
-// from the row-hit index: the bus gate and the set of column-ready hit
-// banks settle most calls without touching the queue, and otherwise
-// the queue is scanned only for the first request on a ready bank.
-func (c *Controller) firstReadyColumn(write bool) (int, int) {
-	q := c.readQ
-	if write {
-		q = c.writeQ
-		if c.cycle+c.cCWL < c.busUntil {
-			return -1, -1
-		}
-	} else if c.cycle+c.cCL < c.busUntil {
-		return -1, -1
-	}
-	anyReady := false
-	for w, word := range c.hits(write).set {
-		var r uint64
-		for word != 0 {
-			t := bits.TrailingZeros64(word)
-			word &= word - 1
-			if c.columnReadyAt(w<<6|t, write) <= c.cycle {
-				r |= 1 << t
-			}
-		}
-		c.ready[w] = r
-		anyReady = anyReady || r != 0
-	}
-	if !anyReady {
-		return -1, -1
-	}
-	for i, req := range q {
-		b := req.bank
-		if c.ready[b>>6]&(1<<(b&63)) != 0 && c.banks[b].openRow == req.Addr.Row {
-			return i, b
-		}
-	}
-	return -1, -1
-}
-
-// columnReadyAt returns the first cycle bank b's gates admit a read
-// (or write) column command, the shared data bus aside: the bank is
-// free, its tRCD/tCCD chain has elapsed, and so has its bank group's
-// tCCD_L.
-func (c *Controller) columnReadyAt(b int, write bool) uint64 {
-	bk := &c.banks[b]
-	colReady := bk.rdReady
-	if write {
-		colReady = bk.wrReady
-	}
-	return max(bk.busyTill, colReady, c.bgColReady[c.bankGroup[b]])
 }
 
 // issueACT opens a row and notifies the mitigation mechanism. ACTs on
@@ -658,9 +780,10 @@ func (c *Controller) issuePRE(b int) {
 
 // issueColumn issues the RD/WR for (*q)[i], removes it from the queue
 // and recycles the Request.
-func (c *Controller) issueColumn(i int, q *[]*Request, b int) {
+func (c *Controller) issueColumn(q *[]*Request, i int) {
 	c.events++
 	req := (*q)[i]
+	b := req.bank
 	bk := &c.banks[b]
 	c.bgColReady[c.bankGroup[b]] = c.cycle + c.cCCD
 	c.hits(req.Write).remove(b)

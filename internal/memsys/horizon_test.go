@@ -65,8 +65,9 @@ func mitigFor(t *testing.T, name string, cfg memsys.Config, nrh int) memsys.Miti
 }
 
 // TestNextEventSoundness exercises the horizon computation under
-// adversarial same-bank hammering (VRR/RFM paths), metadata traffic
-// (Hydra), write drains, bursty idle gaps and scaled-tRFC refresh.
+// adversarial same-bank hammering (VRR and RFM paths, PRAC's
+// precharge tax), metadata traffic (Hydra), write drains, bursty idle
+// gaps and scaled-tRFC refresh.
 func TestNextEventSoundness(t *testing.T) {
 	cfg := horizonConfig()
 	mapper, err := ddr.NewMOPMapper(cfg.Geometry, cfg.MOPWidth)
@@ -75,16 +76,24 @@ func TestNextEventSoundness(t *testing.T) {
 	}
 	addr := func(bank ddr.Address) uint64 { return mapper.Encode(bank) }
 
+	vrrs := func(st memsys.Stats) uint64 { return st.VRRs }
+	rfms := func(st memsys.Stats) uint64 { return st.RFMs }
 	for _, tc := range []struct {
 		name  string
 		mitig string
 		nrh   int
 		trfc  float64
+		// acted counts what the row's mechanism did; every row must
+		// exercise its own readiness branch at least once.
+		what  string
+		acted func(memsys.Stats) uint64
 	}{
-		{"hammer-para", "PARA", 16, 1.0},
-		{"hammer-graphene", "Graphene", 8, 1.0},
-		{"hammer-hydra-meta", "Hydra", 32, 1.0},
-		{"no-mitigation-trfc-scaled", "", 0, 4.42},
+		{"hammer-para", "PARA", 16, 1.0, "VRRs", vrrs},
+		{"hammer-graphene", "Graphene", 8, 1.0, "VRRs", vrrs},
+		{"hammer-hydra-meta", "Hydra", 32, 1.0, "metadata writes", func(st memsys.Stats) uint64 { return st.MetaWrites }},
+		{"hammer-rfm", "RFM", 16, 1.0, "RFMs", rfms},
+		{"hammer-prac", "PRAC", 4, 1.0, "RFMs", rfms},
+		{"no-mitigation-trfc-scaled", "", 0, 4.42, "REFs", func(st memsys.Stats) uint64 { return st.Refs }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := cfg
@@ -124,6 +133,11 @@ func TestNextEventSoundness(t *testing.T) {
 				}
 			}
 			checkHorizonSoundness(t, c, issue, 60_000)
+			acted := tc.acted(c.Stats())
+			t.Logf("%s: %d", tc.what, acted)
+			if acted == 0 {
+				t.Fatalf("no %s in 60k cycles: the row checks nothing of its mechanism", tc.what)
+			}
 		})
 	}
 }

@@ -36,15 +36,21 @@ func drain(t testing.TB, c *Controller, pending *int, budget int) {
 }
 
 func TestNewControllerValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.CPUFreqGHz = 0
-	if _, err := NewController(cfg, nil, nil); err == nil {
-		t.Fatal("zero CPU frequency accepted")
-	}
-	cfg = testConfig()
-	cfg.Geometry.Channels = 2
-	if _, err := NewController(cfg, nil, nil); err == nil {
-		t.Fatal("multi-channel should be rejected")
+	for name, mutate := range map[string]func(*Config){
+		"zero CPU frequency":    func(c *Config) { c.CPUFreqGHz = 0 },
+		"zero read queue":       func(c *Config) { c.ReadQueue = 0 },
+		"negative write queue":  func(c *Config) { c.WriteQueue = -5 },
+		"drain low above high":  func(c *Config) { c.DrainLo, c.DrainHi = 0.9, 0.8 },
+		"drain high above one":  func(c *Config) { c.DrainHi = 1.5 },
+		"negative drain low":    func(c *Config) { c.DrainLo = -0.1 },
+		"negative blast radius": func(c *Config) { c.BlastRadius = -3 },
+		"multi-channel":         func(c *Config) { c.Geometry.Channels = 2 },
+	} {
+		cfg := testConfig()
+		mutate(&cfg)
+		if _, err := NewController(cfg, nil, nil); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -59,9 +65,10 @@ func TestSingleReadCompletes(t *testing.T) {
 	if st.Acts != 1 || st.Reads != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Minimum latency: tRCD + tCL + tBL + extra.
-	if st.AvgReadLatency() < 50 {
-		t.Fatalf("read latency %.0f implausibly low", st.AvgReadLatency())
+	// One cycle to the ACT, then tRCD, the read's tCL and burst, and
+	// the fixed on-chip latency.
+	if want := 1 + c.cRCD + c.cCL + c.cBL + c.cfg.ExtraLatency; st.ReadLatencySum != want {
+		t.Fatalf("lone read latency %d cycles, want %d", st.ReadLatencySum, want)
 	}
 }
 

@@ -2,11 +2,11 @@ package memsys
 
 // hitIndex is one queue's half of the controller's row-hit index:
 // count[b] is the number of queued requests whose row is bank b's open
-// row, and set has bit b on exactly when count[b] is nonzero. FR-FCFS's
-// column pick and NextEvent's column deadlines walk set instead of the
-// queue: every column gate except the row match is per bank (bank
-// timing, its group's tCCD_L, the bus), so the banks with queued hits
-// are the only candidates.
+// row, and set has bit b on exactly when count[b] is nonzero. The
+// scheduler's column stage (readyHits, in Tick and in NextEvent's dry
+// run alike) walks set instead of the queue: every column gate except
+// the row match is per bank (bank timing, its group's tCCD_L, the
+// bus), so the banks with queued hits are the only candidates.
 //
 // The invariant — count and set always equal a recount from the queue —
 // holds because the row of a queued request only starts or stops

@@ -8,10 +8,11 @@ import (
 	"pacram/internal/xrand"
 )
 
-// rowhit_test.go checks the row-hit index against the queue scans it
-// replaced. refFirstReadyColumn and refColumnHorizon are those scans,
-// kept verbatim in behaviour: they walk every queued request and never
-// consult the hit index or the bankGroup table.
+// rowhit_test.go checks the row-hit index, and readyHits' walk over
+// it, against the queue scans it replaced. refFirstReadyColumn and
+// refColumnHorizon are those scans, kept verbatim in behaviour: they
+// walk every queued request and never consult the hit index or the
+// bankGroup table.
 
 // refFirstReadyColumn is the queue-scan FR-FCFS column pick: the oldest
 // request in q whose row is open and whose column command can issue.
@@ -26,7 +27,7 @@ func (c *Controller) refFirstReadyColumn(q []*Request) (int, int) {
 }
 
 func (c *Controller) refCanColumn(req *Request, bk *bank) bool {
-	if !bk.free(c.cycle) {
+	if c.cycle < bk.busyTill {
 		return false
 	}
 	if c.cycle < c.bgColReady[c.refGroup(req)] {
@@ -103,8 +104,8 @@ func checkRowHitIndex(t *testing.T, c *Controller, when string) {
 	}
 }
 
-// checkAgainstReference compares the indexed answers with the queue
-// scans on the controller's current state.
+// checkAgainstReference compares readyHits, in both modes, with the
+// queue scans on the controller's current state.
 func checkAgainstReference(t *testing.T, c *Controller) {
 	t.Helper()
 	floor := c.cycle + 1 // NextEvent clamps every deadline here
@@ -113,14 +114,17 @@ func checkAgainstReference(t *testing.T, c *Controller) {
 		if write {
 			q = c.writeQ
 		}
-		gi, gb := c.firstReadyColumn(write)
+		gi, gb := -1, -1
+		if _, i := c.readyHits(write, true); i >= 0 {
+			gi, gb = i, q[i].bank
+		}
 		wi, wb := c.refFirstReadyColumn(q)
 		if gi != wi || gb != wb {
-			t.Fatalf("@%d write=%v: firstReadyColumn = (%d, %d), queue scan = (%d, %d)", c.cycle, write, gi, gb, wi, wb)
+			t.Fatalf("@%d write=%v: readyHits picks (%d, %d), queue scan (%d, %d)", c.cycle, write, gi, gb, wi, wb)
 		}
-		got, want := max(c.columnHorizon(write), floor), max(c.refColumnHorizon(write), floor)
-		if got != want {
-			t.Fatalf("@%d write=%v: columnHorizon = %d, queue scan = %d", c.cycle, write, got, want)
+		at, _ := c.readyHits(write, false)
+		if got, want := max(at, floor), max(c.refColumnHorizon(write), floor); got != want {
+			t.Fatalf("@%d write=%v: readyHits dry run = %d, queue scan = %d", c.cycle, write, got, want)
 		}
 	}
 }

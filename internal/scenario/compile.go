@@ -585,6 +585,9 @@ func (s *Spec) resolveCell(c cell, path string) (*resolvedCell, error) {
 	if err := mem.Geometry.Validate(); err != nil {
 		return nil, s.errf(path+": memory", "%v", err)
 	}
+	if err := mem.Validate(); err != nil {
+		return nil, s.errf(path+": memory", "%v", err)
+	}
 	if err := checkBanks(mem.Geometry); err != nil {
 		return nil, s.errf(path+": memory", "%v", err)
 	}

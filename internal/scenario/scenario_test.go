@@ -245,6 +245,11 @@ func TestLoaderErrors(t *testing.T) {
 		{"bad module", `"config":{"mitigation":"RFM","nrh":64,"pacram":{"module":"Z9","factor":0.45}}`,
 			"pacram.module"},
 		{"bad geometry", `"memory":{"rows":1000}`, "memory"},
+		{"negative read queue", `"memory":{"readQueue":-1}`, "memory: memsys: queue depths must be >= 1"},
+		{"negative write queue", `"memory":{"writeQueue":-5}`, "memory: memsys: queue depths must be >= 1"},
+		{"negative cpu frequency", `"memory":{"cpuFreqGHz":-1}`, "memory: memsys: CPU frequency must be positive"},
+		{"swept negative blast radius", `"sweep":{"axes":[{"param":"memory.blastRadius","values":[2,-3]}]}`,
+			"memory: memsys: blast radius must be >= 0"},
 		{"unknown axis param", `"sweep":{"axes":[{"param":"voltage","values":[1]}]}`, `unknown sweep parameter "voltage"`},
 		{"mistyped axis value", `"sweep":{"axes":[{"param":"nrh","values":["high"]}]}`, "sweep.axes[0].values[0]"},
 		{"label mismatch", `"sweep":{"axes":[{"param":"nrh","values":[64,32],"labels":["only-one"]}]}`, "labels"},
