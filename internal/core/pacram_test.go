@@ -161,8 +161,8 @@ func TestPolicyTFCRIReset(t *testing.T) {
 	if h != cfg.NominalTRASNs {
 		t.Fatalf("after tFCRI the row must be refreshed at nominal latency, got %g", h)
 	}
-	if p.Resets == 0 {
-		t.Fatal("reset not recorded")
+	if h := p.VRRHold(0, 5, cfg.TFCRINs*1.5+1000); h != cfg.ReducedTRASNs {
+		t.Fatalf("the reset epoch's full restoration must leave the row partial again, got %g", h)
 	}
 }
 
@@ -225,16 +225,30 @@ func TestPolicyOutOfRangeConservative(t *testing.T) {
 }
 
 func TestPolicyPartialFractionProperty(t *testing.T) {
-	// Property: over arbitrary refresh sequences, full + partial
-	// counts always add up, and the fraction stays in [0,1].
+	// Property: over arbitrary refresh sequences crossing tFCRI
+	// boundaries, a row's hold is nominal exactly on its first
+	// preventive refresh in an epoch and reduced on every later one.
 	cfg := lowNRHConfig(t)
 	f := func(rows []uint8) bool {
 		p := NewPolicy(cfg, 1, 256)
+		full := make(map[uint8]bool)
+		epoch := int64(-1)
 		for i, r := range rows {
-			p.VRRHold(0, int(r), float64(i)*1000)
+			now := float64(i) * cfg.TFCRINs / 7
+			if e := int64(now / cfg.TFCRINs); e != epoch {
+				epoch = e
+				clear(full)
+			}
+			want := cfg.ReducedTRASNs
+			if !full[r] {
+				want = cfg.NominalTRASNs
+			}
+			full[r] = true
+			if p.VRRHold(0, int(r), now) != want {
+				return false
+			}
 		}
-		fr := p.PartialFraction()
-		return fr >= 0 && fr <= 1 && p.FullRefreshes+p.PartialRefreshes == uint64(len(rows))
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -22,11 +22,6 @@ type Policy struct {
 
 	fr    [][]uint64 // per bank: rows/64 words
 	epoch int64      // current tFCRI epoch (-1 until first use)
-
-	// Stats
-	FullRefreshes    uint64
-	PartialRefreshes uint64
-	Resets           uint64
 }
 
 // NewPolicy allocates the FR vector for a subsystem of banks x rows.
@@ -59,22 +54,18 @@ func (p *Policy) MetadataBits() int {
 // row's F/P state.
 func (p *Policy) VRRHold(bank, row int, nowNs float64) float64 {
 	if p.cfg.AlwaysPartial() {
-		p.PartialRefreshes++
 		return p.cfg.ReducedTRASNs
 	}
 	p.maybeReset(nowNs)
 	if bank < 0 || bank >= p.banks || row < 0 || row >= p.rows {
 		// Out-of-range rows (clamped blast radius): be conservative.
-		p.FullRefreshes++
 		return p.cfg.NominalTRASNs
 	}
 	w, m := row/64, uint64(1)<<(row%64)
 	if p.fr[bank][w]&m != 0 {
-		p.PartialRefreshes++
 		return p.cfg.ReducedTRASNs
 	}
 	p.fr[bank][w] |= m
-	p.FullRefreshes++
 	return p.cfg.NominalTRASNs
 }
 
@@ -98,17 +89,6 @@ func (p *Policy) maybeReset(nowNs float64) {
 			p.fr[b][w] = 0
 		}
 	}
-	p.Resets++
-}
-
-// PartialFraction returns the fraction of preventive refreshes that
-// used the reduced latency.
-func (p *Policy) PartialFraction() float64 {
-	tot := p.FullRefreshes + p.PartialRefreshes
-	if tot == 0 {
-		return 0
-	}
-	return float64(p.PartialRefreshes) / float64(tot)
 }
 
 // PeriodicPolicy extends a Policy with the Appendix B optimization:

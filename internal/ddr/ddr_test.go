@@ -155,15 +155,11 @@ func TestMapperRoundTripMOP(t *testing.T) {
 
 func TestMapperRoundTripProperty(t *testing.T) {
 	g := PaperSystem()
-	mop, err := NewMOPMapper(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri, err := NewRowInterleavedMapper(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*Mapper{mop, ri} {
+	for _, w := range []int{1, 4} {
+		m, err := NewMOPMapper(g, w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		mask := uint64(1)<<m.AddressBits() - 1
 		f := func(phys uint64) bool {
 			p := phys & mask &^ uint64(g.LineBytes-1)
@@ -174,7 +170,7 @@ func TestMapperRoundTripProperty(t *testing.T) {
 			return m.Encode(a) == p
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Fatalf("%s: %v", m.Scheme(), err)
+			t.Fatalf("MOP%d: %v", w, err)
 		}
 	}
 }
@@ -242,23 +238,19 @@ func multiChannelGeometries() []Geometry {
 
 // TestMapperRoundTripMultiChannel: Decode(Encode(a)) == a over the
 // exhaustive channel x rank x bank-group x bank grid (with row/column
-// corners) at Channels in {1,2,4}, for both mapping schemes.
+// corners) at Channels in {1,2,4}, for MOP widths 1 and 4.
 func TestMapperRoundTripMultiChannel(t *testing.T) {
 	for _, g := range multiChannelGeometries() {
-		mop, err := NewMOPMapper(g, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri, err := NewRowInterleavedMapper(g)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rows := []int{0, 1, g.Rows / 2, g.Rows - 1}
 		cols := []int{0, 1, g.Columns / 2, g.Columns - 1}
-		for _, m := range []*Mapper{mop, ri} {
+		for _, w := range []int{1, 4} {
+			m, err := NewMOPMapper(g, w)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if uint64(1)<<m.AddressBits() != g.TotalBytes() {
-				t.Fatalf("%s channels=%d: address bits %d do not cover capacity %d",
-					m.Scheme(), g.Channels, m.AddressBits(), g.TotalBytes())
+				t.Fatalf("MOP%d channels=%d: address bits %d do not cover capacity %d",
+					w, g.Channels, m.AddressBits(), g.TotalBytes())
 			}
 			for ch := 0; ch < g.Channels; ch++ {
 				for rk := 0; rk < g.Ranks; rk++ {
@@ -270,12 +262,12 @@ func TestMapperRoundTripMultiChannel(t *testing.T) {
 										Bank: bk, Row: row, Column: col}
 									phys := m.Encode(a)
 									if got := m.Decode(phys); got != a {
-										t.Fatalf("%s channels=%d: %+v -> %#x -> %+v",
-											m.Scheme(), g.Channels, a, phys, got)
+										t.Fatalf("MOP%d channels=%d: %+v -> %#x -> %+v",
+											w, g.Channels, a, phys, got)
 									}
 									if got := m.ChannelOf(phys); got != ch {
-										t.Fatalf("%s channels=%d: ChannelOf(%#x) = %d, want %d",
-											m.Scheme(), g.Channels, phys, got, ch)
+										t.Fatalf("MOP%d channels=%d: ChannelOf(%#x) = %d, want %d",
+											w, g.Channels, phys, got, ch)
 									}
 								}
 							}

@@ -5,16 +5,14 @@ import (
 	"math/bits"
 )
 
-// Mapper translates flat physical byte addresses into DRAM coordinates.
-// The paper's simulated memory controller uses the MOP (Minimalist
-// Open-Page) mapping; a simple row-interleaved mapping is provided for
-// comparison and tests.
+// Mapper translates flat physical byte addresses into DRAM coordinates
+// with the MOP (Minimalist Open-Page) mapping the paper's simulated
+// memory controller uses.
 type Mapper struct {
 	geo Geometry
 	// fields, from least significant upward. Each entry names one
 	// address component and how many bits it consumes.
 	fields []mapField
-	scheme string
 
 	// shift/mask locate each field kind's bits, so Decode and ChannelOf
 	// are straight-line shift-and-masks instead of a walk over fields
@@ -59,7 +57,7 @@ func NewMOPMapper(geo Geometry, mopWidth int) (*Mapper, error) {
 	}
 	colLow := log2(mopWidth)
 	colHigh := log2(geo.Columns) - colLow
-	m := &Mapper{geo: geo, scheme: "MOP"}
+	m := &Mapper{geo: geo}
 	m.fields = []mapField{
 		{fOffset, log2(geo.LineBytes)},
 		{fColumnLow, colLow},
@@ -68,28 +66,6 @@ func NewMOPMapper(geo Geometry, mopWidth int) (*Mapper, error) {
 		{fBankGroup, log2(geo.BankGroups)},
 		{fBank, log2(geo.BanksPerGroup)},
 		{fColumnHigh, colHigh},
-		{fRow, log2(geo.Rows)},
-	}
-	m.finish()
-	return m, nil
-}
-
-// NewRowInterleavedMapper builds a simple RoBaRaCoCh-style mapping:
-// consecutive lines walk the whole row, then banks, ranks, channels,
-// then rows. Maximizes row-buffer locality for streaming.
-func NewRowInterleavedMapper(geo Geometry) (*Mapper, error) {
-	if err := geo.Validate(); err != nil {
-		return nil, err
-	}
-	m := &Mapper{geo: geo, scheme: "RowInterleaved"}
-	m.fields = []mapField{
-		{fOffset, log2(geo.LineBytes)},
-		{fColumnLow, log2(geo.Columns)},
-		{fChannel, log2(geo.Channels)},
-		{fBankGroup, log2(geo.BankGroups)},
-		{fBank, log2(geo.BanksPerGroup)},
-		{fRank, log2(geo.Ranks)},
-		{fColumnHigh, 0},
 		{fRow, log2(geo.Rows)},
 	}
 	m.finish()
@@ -108,9 +84,6 @@ func (m *Mapper) finish() {
 	}
 	m.colLow = uint(bits.OnesCount64(m.mask[fColumnLow]))
 }
-
-// Scheme returns the mapping scheme name.
-func (m *Mapper) Scheme() string { return m.scheme }
 
 // Geometry returns the geometry the mapper was built for.
 func (m *Mapper) Geometry() Geometry { return m.geo }

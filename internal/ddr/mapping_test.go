@@ -76,20 +76,11 @@ func TestDecodeMatchesFieldWalk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for gi, g := range geos {
 		name := names[gi]
-		var mappers []*Mapper
 		for _, w := range []int{1, 4} {
 			m, err := NewMOPMapper(g, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mappers = append(mappers, m)
-		}
-		ri, err := NewRowInterleavedMapper(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mappers = append(mappers, ri)
-		for _, m := range mappers {
 			for i := 0; i < 2000; i++ {
 				phys := rng.Uint64()
 				if i%2 == 0 {
@@ -97,13 +88,13 @@ func TestDecodeMatchesFieldWalk(t *testing.T) {
 				}
 				want := refDecode(m, phys)
 				if got := m.Decode(phys); got != want {
-					t.Fatalf("%s/%s: Decode(%#x) = %+v, field walk gives %+v", name, m.Scheme(), phys, got, want)
+					t.Fatalf("%s/MOP%d: Decode(%#x) = %+v, field walk gives %+v", name, w, phys, got, want)
 				}
 				if got := m.ChannelOf(phys); got != want.Channel {
-					t.Fatalf("%s/%s: ChannelOf(%#x) = %d, want %d", name, m.Scheme(), phys, got, want.Channel)
+					t.Fatalf("%s/MOP%d: ChannelOf(%#x) = %d, want %d", name, w, phys, got, want.Channel)
 				}
 				if got, ref := m.Encode(want), refEncode(m, want); got != ref {
-					t.Fatalf("%s/%s: Encode(%+v) = %#x, field walk gives %#x", name, m.Scheme(), want, got, ref)
+					t.Fatalf("%s/MOP%d: Encode(%+v) = %#x, field walk gives %#x", name, w, want, got, ref)
 				}
 			}
 		}

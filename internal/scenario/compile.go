@@ -1067,6 +1067,14 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 		}
 		return axisValue{display: v, apply: func(c *cell) { apply(c, v) }}, nil
 	}
+	// A zero memory field means "inherit" (applyMem), so a swept 0
+	// would run the inherited value under a row labelled 0.
+	nonzero := func(av axisValue, err error) (axisValue, error) {
+		if err == nil && (av.display == 0 || av.display == 0.0) {
+			return axisValue{}, fmt.Errorf("%s must be nonzero: 0 leaves the inherited value in place", param)
+		}
+		return av, err
+	}
 	boolVal := func(apply func(*cell, bool)) (axisValue, error) {
 		var v bool
 		if err := strict(&v); err != nil {
@@ -1139,25 +1147,25 @@ func parseAxisValue(param string, raw json.RawMessage) (axisValue, error) {
 		}
 		return axisValue{display: v, apply: func(c *cell) { c.mem.Profile = v }}, nil
 	case "memory.channels":
-		return intVal(func(c *cell, v int) { c.mem.Channels = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.Channels = v }))
 	case "memory.rows":
-		return intVal(func(c *cell, v int) { c.mem.Rows = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.Rows = v }))
 	case "memory.ranks":
-		return intVal(func(c *cell, v int) { c.mem.Ranks = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.Ranks = v }))
 	case "memory.bankGroups":
-		return intVal(func(c *cell, v int) { c.mem.BankGroups = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.BankGroups = v }))
 	case "memory.banksPerGroup":
-		return intVal(func(c *cell, v int) { c.mem.BanksPerGroup = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.BanksPerGroup = v }))
 	case "memory.mopWidth":
-		return intVal(func(c *cell, v int) { c.mem.MOPWidth = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.MOPWidth = v }))
 	case "memory.blastRadius":
-		return intVal(func(c *cell, v int) { c.mem.BlastRadius = v })
+		return nonzero(intVal(func(c *cell, v int) { c.mem.BlastRadius = v }))
 	case "memory.refreshEnabled":
 		return boolVal(func(c *cell, v bool) { vv := v; c.mem.RefreshEnabled = &vv })
 	case "memory.trfcScale":
-		return floatVal(func(c *cell, v float64) { c.mem.TRFCScale = v })
+		return nonzero(floatVal(func(c *cell, v float64) { c.mem.TRFCScale = v }))
 	case "memory.cpuFreqGHz":
-		return floatVal(func(c *cell, v float64) { c.mem.CPUFreqGHz = v })
+		return nonzero(floatVal(func(c *cell, v float64) { c.mem.CPUFreqGHz = v }))
 	}
 	return axisValue{}, fmt.Errorf("unknown sweep parameter %q (have: mitigation nrh pacram pacram.module pacram.factor "+
 		"periodicExtension periodicFactor "+

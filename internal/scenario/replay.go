@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"path/filepath"
 	"strings"
 
 	"pacram/internal/trace"
@@ -13,30 +12,29 @@ import (
 // replayCore is a trace-replay core in canonical, content-addressed
 // form. The digest of the records' canonical binary encoding is the
 // workload's identity in the job key — a text trace and its binary
-// re-encoding, or a path and an inline paste of the same records,
-// collapse onto one cell — while the records themselves ride along
-// unexported, outside the JSON the key hashes.
+// re-encoding, inlined by LoadFile, or an inline paste of the same
+// records collapse onto one cell — while the records themselves ride
+// along unexported, outside the JSON the key hashes.
 type replayCore struct {
 	Name   string `json:"name"`
 	Digest string `json:"digest"`
 	recs   []trace.Record
 }
 
-// resolveReplay loads and canonicalizes one TraceSpec.
+// resolveReplay canonicalizes one inline TraceSpec. A trace path is
+// rejected: compiling reads nothing but the spec's bytes, so only
+// LoadFile, which inlines the records, resolves a path.
 func (s *Spec) resolveReplay(path string, ts *TraceSpec) (*replayCore, error) {
-	if (ts.Path != "") == (ts.Inline != "") {
-		return nil, s.errf(path, "give exactly one of path or inline")
+	if ts.Path != "" {
+		return nil, s.errf(path+".path", "trace files are read only when a spec file is loaded (scenario.LoadFile); inline the records instead")
+	}
+	if ts.Inline == "" {
+		return nil, s.errf(path+".inline", "need the trace records inline")
 	}
 	if ts.Loop < 0 {
 		return nil, s.errf(path+".loop", "must be >= 0, got %d", ts.Loop)
 	}
-	var recs []trace.Record
-	var err error
-	if ts.Path != "" {
-		recs, err = trace.ReadFile(ts.Path)
-	} else {
-		recs, err = trace.ReadRecords(strings.NewReader(ts.Inline))
-	}
+	recs, err := trace.ReadRecords(strings.NewReader(ts.Inline))
 	if err != nil {
 		return nil, s.errf(path, "%v", err)
 	}
@@ -51,11 +49,7 @@ func (s *Spec) resolveReplay(path string, ts *TraceSpec) (*replayCore, error) {
 	digest := hex.EncodeToString(sum[:])
 	name := ts.Name
 	if name == "" {
-		if ts.Path != "" {
-			name = strings.TrimSuffix(filepath.Base(ts.Path), filepath.Ext(ts.Path))
-		} else {
-			name = "trace-" + digest[:8]
-		}
+		name = "trace-" + digest[:8]
 	}
 	return &replayCore{Name: name, Digest: digest, recs: recs}, nil
 }

@@ -250,6 +250,14 @@ func TestLoaderErrors(t *testing.T) {
 		{"negative cpu frequency", `"memory":{"cpuFreqGHz":-1}`, "memory: memsys: CPU frequency must be positive"},
 		{"swept negative blast radius", `"sweep":{"axes":[{"param":"memory.blastRadius","values":[2,-3]}]}`,
 			"memory: memsys: blast radius must be >= 0"},
+		{"swept zero blast radius and cpu frequency", `"sweep":{"axes":[{"param":"memory.blastRadius","values":[0,2]},{"param":"memory.cpuFreqGHz","values":[0,3.2]}]}`,
+			"sweep.axes[0].values[0]: memory.blastRadius must be nonzero"},
+		{"swept zero cpu frequency", `"sweep":{"axes":[{"param":"memory.cpuFreqGHz","values":[3.2,0]}]}`,
+			"sweep.axes[0].values[1]: memory.cpuFreqGHz must be nonzero"},
+		{"swept zero channels", `"sweep":{"axes":[{"param":"nrh","values":[64]},{"param":"memory.channels","values":[1,0]}]}`,
+			"sweep.axes[1].values[1]: memory.channels must be nonzero"},
+		{"swept zero trfc scale", `"sweep":{"axes":[{"param":"memory.trfcScale","values":[0]}]}`,
+			"sweep.axes[0].values[0]: memory.trfcScale must be nonzero"},
 		{"unknown axis param", `"sweep":{"axes":[{"param":"voltage","values":[1]}]}`, `unknown sweep parameter "voltage"`},
 		{"mistyped axis value", `"sweep":{"axes":[{"param":"nrh","values":["high"]}]}`, "sweep.axes[0].values[0]"},
 		{"label mismatch", `"sweep":{"axes":[{"param":"nrh","values":[64,32],"labels":["only-one"]}]}`, "labels"},

@@ -182,22 +182,23 @@ type CoreSpec struct {
 }
 
 // TraceSpec replays an external memory-access trace on one core,
-// cyclically when the instruction budget outruns it. Exactly one of
-// Path and Inline: Path names a trace file in either format (text or
-// binary, auto-detected), Inline embeds the text form in the spec
-// itself — self-contained, so the spec ships whole to fabric workers
-// and catalog entries carry their traces with them. Loop > 0 replays
-// only the trace's first Loop records. Identity is content-addressed:
-// the digest of the records' canonical binary encoding goes into the
-// job key, so a text trace, its binary re-encoding and an inline paste
-// of the same records all collapse onto one cell.
+// cyclically when the instruction budget outruns it. Inline embeds
+// the text form in the spec itself — self-contained, so the spec
+// ships whole to fabric workers and catalog entries carry their
+// traces with them. A spec file may give Path instead, a trace file
+// in either format (text or binary, auto-detected), which LoadFile
+// turns into Inline; a spec with a Path left fails to compile.
+// Loop > 0 replays only the trace's first Loop records. Identity is
+// content-addressed: the digest of the records' canonical binary
+// encoding goes into the job key, so a text trace, its binary
+// re-encoding and an inline paste of the same records all collapse
+// onto one cell.
 type TraceSpec struct {
 	// Name labels the workload in tables ("" derives one from the path
-	// or the digest).
+	// when LoadFile inlines it, else from the digest).
 	Name string `json:"name,omitempty"`
-	// Path is a trace file in either format. Relative paths in a spec
-	// file resolve against the file's directory; LoadFile inlines the
-	// records so the loaded spec is self-contained.
+	// Path is a trace file; LoadFile resolves a relative path against
+	// the spec file's directory.
 	Path string `json:"path,omitempty"`
 	// Inline is the text form embedded directly in the spec.
 	Inline string `json:"inline,omitempty"`
@@ -320,22 +321,14 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// Load reads and decodes a spec.
-func Load(r io.Reader) (*Spec, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: reading spec: %w", err)
-	}
-	return Parse(data)
-}
-
 // LoadFile reads and decodes a spec file, then inlines any path-based
 // trace cores — relative trace paths resolve against the spec file's
-// directory — so the loaded spec is self-contained: it validates,
-// runs and ships over the wire (remote submission, fabric dispatch)
-// identically from any working directory. Content addressing makes
-// the rewrite invisible: the records' canonical digest, not the file
-// path, is the cell identity.
+// directory. It is the only code that reads a trace file: Compile
+// rejects a trace path, so a spec compiles from its bytes alone, and
+// the loaded spec validates, runs and ships over the wire (remote
+// submission, fabric dispatch) identically from any working
+// directory. Content addressing makes the rewrite invisible: the
+// records' canonical digest, not the file path, is the cell identity.
 func LoadFile(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -353,15 +346,18 @@ func LoadFile(path string) (*Spec, error) {
 
 // inlineTraces rewrites every path-based trace core into its inline
 // text form, resolving relative paths against dir. The display name
-// keeps its path-derived default, so the rewritten spec renders the
-// identical table.
+// defaults to the file's base name without its extension.
 func (s *Spec) inlineTraces(dir string) error {
-	for gi := range s.Workloads {
-		for mi := range s.Workloads[gi].Members {
-			for ci := range s.Workloads[gi].Members[mi].Cores {
-				ts := s.Workloads[gi].Members[mi].Cores[ci].Trace
+	for _, g := range s.Workloads {
+		for mi, m := range g.Members {
+			for ci, c := range m.Cores {
+				ts := c.Trace
 				if ts == nil || ts.Path == "" {
 					continue
+				}
+				path := fmt.Sprintf("workloads[%q].members[%d].cores[%d].trace", g.Name, mi, ci)
+				if ts.Inline != "" {
+					return s.errf(path, "give exactly one of path or inline")
 				}
 				p := ts.Path
 				if !filepath.IsAbs(p) {
@@ -369,11 +365,11 @@ func (s *Spec) inlineTraces(dir string) error {
 				}
 				recs, err := trace.ReadFile(p)
 				if err != nil {
-					return err
+					return s.errf(path+".path", "%v", err)
 				}
 				var buf bytes.Buffer
 				if err := trace.WriteRecords(&buf, recs); err != nil {
-					return err
+					return s.errf(path+".path", "%v", err)
 				}
 				if ts.Name == "" {
 					ts.Name = strings.TrimSuffix(filepath.Base(ts.Path), filepath.Ext(ts.Path))
@@ -431,24 +427,6 @@ func (s *Spec) MemoryProfile() string {
 		return list[0]
 	}
 	return fmt.Sprintf("%d profiles", len(list))
-}
-
-// ReadsFiles reports whether compiling the spec reads a file: a
-// trace core given by path loads its records at compile time, so the
-// plan depends on the file's contents, not only on the spec's bytes.
-// Callers that cache plans by spec bytes must compile such a spec
-// afresh every time.
-func (s *Spec) ReadsFiles() bool {
-	for _, g := range s.Workloads {
-		for _, m := range g.Members {
-			for _, c := range m.Cores {
-				if c.Trace != nil && c.Trace.Path != "" {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // Sources summarizes the workload source kinds the spec's members

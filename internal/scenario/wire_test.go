@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io/fs"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pacram/internal/runner"
@@ -102,21 +103,22 @@ func FuzzParseCompile(f *testing.F) {
 	f.Add([]byte(`{"name":"probe","sim":{"instructions":1000},"memory":{"channels":1048576},` +
 		`"workloads":[{"name":"g","members":[{"cores":[{"workload":"429.mcf"}]}]}],` +
 		`"columns":[{"name":"ipc","group":"g","metric":"sumIPC"}]}`))
+	// A trace path naming a readable trace file: compiling reads no
+	// file, so this must fail at the field, and the target stays
+	// hermetic for every input.
+	pathDoc := []byte(`{"name":"probe","sim":{"instructions":1000},` +
+		`"workloads":[{"name":"g","members":[{"cores":[{"trace":{"path":"../../examples/traces/kernel-loop.trace"}}]}]}],` +
+		`"columns":[{"name":"ipc","group":"g","metric":"sumIPC"}]}`)
+	if s, err := Parse(pathDoc); err != nil {
+		f.Fatal(err)
+	} else if _, err := s.Compile(); err == nil || !strings.Contains(err.Error(), "cores[0].trace.path") {
+		f.Fatalf("trace.path spec compiled or failed elsewhere: %v", err)
+	}
+	f.Add(pathDoc)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {
 			return
-		}
-		// Path-based traces read the file system; keep the target
-		// hermetic.
-		for _, g := range s.Workloads {
-			for _, m := range g.Members {
-				for _, c := range m.Cores {
-					if c.Trace != nil && c.Trace.Path != "" {
-						return
-					}
-				}
-			}
 		}
 		orig, err := s.Compile()
 		if err != nil {

@@ -60,8 +60,8 @@ type planCache struct {
 
 // get returns the compiled form of a spec document and whether it was
 // served from the cache. A document that fails to parse or compile
-// caches nothing, and neither does a spec that reads files: its plan
-// depends on the files' contents, not on the key.
+// caches nothing. Compiling reads nothing but the document's bytes
+// (scenario rejects a trace path), so the key determines the plan.
 func (c *planCache) get(doc []byte) (*compiled, bool, error) {
 	key := sha256.Sum256(doc)
 	c.mu.Lock()
@@ -77,9 +77,7 @@ func (c *planCache) get(doc []byte) (*compiled, bool, error) {
 	if cp, err = compileSpec(sp); err != nil {
 		return nil, false, err
 	}
-	if !sp.ReadsFiles() {
-		c.put(key, cp)
-	}
+	c.put(key, cp)
 	return cp, false, nil
 }
 
@@ -120,8 +118,7 @@ func (s *Server) planFor(doc []byte) (*compiled, error) {
 // resolveSpec turns a SubmitRequest into a compiled plan, classifying
 // failures: client errors (bad request shape, unknown name, invalid
 // spec) map to 4xx. A catalog name resolves to the plan New compiled;
-// a name it does not know goes through scenario.ByName, whose error
-// is the 404's text.
+// a name it does not know is a 404 with scenario.ByName's text.
 func (s *Server) resolveSpec(req SubmitRequest) (*compiled, int, error) {
 	switch {
 	case req.Scenario != "" && len(req.Spec) > 0:
@@ -131,18 +128,10 @@ func (s *Server) resolveSpec(req SubmitRequest) (*compiled, int, error) {
 			s.metrics.planHits.Inc()
 			return cp, http.StatusOK, nil
 		}
+		// New kept every built-in, so ByName only words the miss.
 		s.metrics.planMisses.Inc()
-		sp, err := scenario.ByName(req.Scenario)
-		if err != nil {
-			return nil, http.StatusNotFound, err
-		}
-		// ByName knows a built-in New did not keep: one that reads
-		// files, so it compiles afresh.
-		cp, err := compileSpec(sp)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, err
-		}
-		return cp, http.StatusOK, nil
+		_, err := scenario.ByName(req.Scenario)
+		return nil, http.StatusNotFound, err
 	case len(req.Spec) > 0:
 		cp, err := s.planFor(req.Spec)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,30 +37,6 @@ func localTable(t *testing.T, doc []byte) []byte {
 		t.Fatal(err)
 	}
 	return renderTable(tbl)
-}
-
-// runWithKeys runs a submission to completion and returns its table
-// and the sorted cell keys its event stream reported.
-func runWithKeys(t *testing.T, c *Client, req SubmitRequest) ([]byte, []string) {
-	t.Helper()
-	st, err := c.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	final, err := c.Watch(context.Background(), st.ID, func(ev CellEvent) { keys = append(keys, ev.Key) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("job %s finished %s: %s", st.ID, final.State, final.Error)
-	}
-	table, err := c.Table(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slices.Sort(keys)
-	return table, keys
 }
 
 // TestPlanCacheCompilesOnce: submitting the same inline spec twice
@@ -109,58 +84,65 @@ func TestPlanCacheCompilesOnce(t *testing.T) {
 	}
 }
 
-// traceSpec is a small inline spec with one trace core read from path.
-func traceSpec(path string) []byte {
-	return []byte(fmt.Sprintf(`{
-	  "name": "traced",
-	  "sim": { "instructions": 2000, "warmup": 200 },
-	  "config": { "mitigation": "Graphene", "nrh": 128 },
-	  "workloads": [{ "name": "g", "members": [{ "cores": [{ "trace": { "name": "t", "path": %q } }] }] }],
-	  "columns": [{ "name": "ipc", "group": "g", "metric": "sumIPC" }, { "name": "acts", "group": "g", "metric": "acts" }]
-	}`, path))
-}
-
-// TestPlanCacheRereadsTracePath: a spec with a trace.path core is
-// compiled on every submission, because its plan depends on the file.
-// Rewriting the file between two submissions of the same spec bytes
-// changes the second job's cells, and its table is a local run's over
-// the new file.
-func TestPlanCacheRereadsTracePath(t *testing.T) {
-	srv, client := newTestServer(t, 2)
-	path := filepath.Join(t.TempDir(), "k.trace")
-	write := func(stride int) {
-		var b strings.Builder
-		for i := 0; i < 64; i++ {
-			op := "R"
-			if i%4 == 3 {
-				op = "W"
-			}
-			fmt.Fprintf(&b, "2 %#x %s\n", i*stride, op)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+// TestTracePathIs422: a submitted spec whose trace.path names a
+// readable file is a 422 naming the field on validate, on submit and
+// on the fabric's execute endpoint, whether the file is a valid trace
+// or not. The daemon reads no file for network input, so no answer
+// quotes the file, and nothing is cached or queued.
+func TestTracePathIs422(t *testing.T) {
+	srv, base, _ := newObservedServer(t, nil)
+	dir := t.TempDir()
+	for name, lines := range map[string][]string{
+		"k.trace":  {"# pacram-trace-marker-5c1e9d", "3 0x7ab5c000 R", "0 0x7ab5c040 W"},
+		"accounts": {"root:x:0:0:root:/root:/bin/bash"},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	raw := traceSpec(path)
-
-	write(0x40)
-	first, firstKeys := runWithKeys(t, client, SubmitRequest{Spec: raw})
-	if !bytes.Equal(first, localTable(t, raw)) {
-		t.Fatal("first table differs from the local run")
-	}
-	write(0x40000)
-	second, secondKeys := runWithKeys(t, client, SubmitRequest{Spec: raw})
-	if !bytes.Equal(second, localTable(t, raw)) {
-		t.Fatal("second table differs from a local run over the rewritten file")
-	}
-	if slices.Equal(firstKeys, secondKeys) {
-		t.Fatalf("rewriting the trace left the cell keys unchanged: %v", secondKeys)
+		spec := json.RawMessage(fmt.Sprintf(`{
+		  "name": "traced",
+		  "sim": { "instructions": 2000, "warmup": 200 },
+		  "config": { "mitigation": "Graphene", "nrh": 128 },
+		  "workloads": [{ "name": "g", "members": [{ "cores": [{ "trace": { "name": "t", "path": %q } }] }] }],
+		  "columns": [{ "name": "ipc", "group": "g", "metric": "sumIPC" }]
+		}`, path))
+		for _, tc := range []struct {
+			path string
+			req  any
+		}{
+			{pathValidate, SubmitRequest{Spec: spec}},
+			{pathJobs, SubmitRequest{Spec: spec}},
+			{pathFabricExecute, ExecuteRequest{Spec: spec, Key: "any"}},
+		} {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(base+tc.path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), `cores[0].trace.path`) {
+				t.Errorf("%s %s: %d %s, want 422 naming cores[0].trace.path", name, tc.path, resp.StatusCode, data)
+			}
+			for _, line := range lines {
+				if strings.Contains(string(data), line) {
+					t.Errorf("%s %s: answer quotes the file's line %q", name, tc.path, line)
+				}
+			}
+		}
 	}
 	if n := planCacheEntries(srv); n != 0 {
-		t.Fatalf("a spec that reads files was cached (%d entries)", n)
+		t.Fatalf("a rejected spec left %d plan cache entries", n)
 	}
-	if misses := srv.metrics.planMisses.Value(); misses != 2 {
-		t.Fatalf("%d plan cache misses, want 2 (one compile per submission)", misses)
+	srv.mu.Lock()
+	jobs := len(srv.jobs)
+	srv.mu.Unlock()
+	if jobs != 0 {
+		t.Fatalf("a rejected spec queued %d jobs", jobs)
 	}
 }
 

@@ -220,9 +220,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: built-in scenario %s: %w", sp.Name, err)
 		}
-		if !sp.ReadsFiles() {
-			s.catalogPlans[sp.Name] = cp
-		}
+		s.catalogPlans[sp.Name] = cp
 		s.catalog = append(s.catalog, CatalogEntry{
 			Name:        sp.Name,
 			Description: sp.Description,

@@ -126,7 +126,7 @@ type Result struct {
 	// PrevRefBusyFraction is Fig. 3's metric.
 	PrevRefBusyFraction float64
 	// PartialFraction is the share of preventive refreshes issued at
-	// reduced latency (0 without PaCRAM).
+	// reduced latency over the measurement interval (0 without PaCRAM).
 	PartialFraction float64
 	// ScaledNRH is the threshold the mechanism actually ran with.
 	ScaledNRH int
@@ -180,7 +180,6 @@ func Run(opt Options) (Result, error) {
 
 	nrh := opt.NRH
 	var policies []memsys.RefreshPolicy
-	var pols []*pacram.Policy
 	switch {
 	case opt.PeriodicFactor != 0:
 		f := opt.PeriodicFactor
@@ -202,10 +201,8 @@ func Run(opt Options) (Result, error) {
 	case opt.PaCRAM != nil:
 		nrh = opt.PaCRAM.ScaledNRH(opt.NRH)
 		policies = make([]memsys.RefreshPolicy, geo.Channels)
-		pols = make([]*pacram.Policy, geo.Channels)
 		for ch := range policies {
 			pol := pacram.NewPolicy(*opt.PaCRAM, channelBanks, geo.Rows)
-			pols[ch] = pol
 			if opt.PeriodicExtension {
 				policies[ch] = pacram.NewPeriodicPolicy(pol)
 			} else {
@@ -349,15 +346,8 @@ func Run(opt Options) (Result, error) {
 	res.PrevRefBusyFraction = res.Stats.PrevRefBusyFraction(geo.TotalBanks())
 	res.Energy = energy.Default().Compute(res.Stats, opt.MemCfg.Timing, opt.MemCfg.CPUFreqGHz,
 		geo.Channels*geo.Ranks)
-	if pols != nil {
-		var full, part uint64
-		for _, p := range pols {
-			full += p.FullRefreshes
-			part += p.PartialRefreshes
-		}
-		if tot := full + part; tot > 0 {
-			res.PartialFraction = float64(part) / float64(tot)
-		}
+	if tot := res.Stats.VRRFull + res.Stats.VRRPartial; tot > 0 {
+		res.PartialFraction = float64(res.Stats.VRRPartial) / float64(tot)
 	}
 	if eng.prof != nil {
 		engineName := opt.Engine

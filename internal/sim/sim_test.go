@@ -162,6 +162,39 @@ func TestPaCRAMImprovesPerformance(t *testing.T) {
 	}
 }
 
+// TestPartialFractionCoversMeasurement: like every Result stat, the
+// share of partial restorations covers the measurement interval only.
+// S6 at 0.36 tRAS keeps the FR vector, so warmup's first (full)
+// refreshes would pull a whole-run count down.
+func TestPartialFractionCoversMeasurement(t *testing.T) {
+	mod, err := chips.ByID("S6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := pacram.Derive(mod, 4 /* 0.36 */, 64, ddr.DDR5())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.AlwaysPartial() {
+		t.Fatal("S6@0.36 should keep the FR vector")
+	}
+	opt := quickOpts(t, "429.mcf")
+	opt.Mitigation = mitigation.NameRFM
+	opt.NRH = 64
+	opt.PaCRAM = &cfg
+	res, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.VRRPartial == 0 || st.VRRFull == 0 {
+		t.Fatalf("want both kinds of restoration, got %d partial and %d full", st.VRRPartial, st.VRRFull)
+	}
+	if want := float64(st.VRRPartial) / float64(st.VRRFull+st.VRRPartial); res.PartialFraction != want {
+		t.Errorf("PartialFraction %g, the measured VRRs give %g", res.PartialFraction, want)
+	}
+}
+
 func TestPaCRAMScalesNRH(t *testing.T) {
 	mod, _ := chips.ByID("S6")
 	cfg, err := pacram.Derive(mod, 3 /* 0.45 */, 128, ddr.DDR5())
