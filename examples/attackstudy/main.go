@@ -130,12 +130,14 @@ func main() {
 		fmt.Printf("neighbours: near %v, far %v (reverse-engineered)\n", nb.Near, nb.Far)
 		fmt.Printf("attack patterns with a %d-activation budget:\n", budget)
 		for _, atk := range attacks {
-			p := attackRes[fmt.Sprintf("attack/%s/%s", id, atk.name)]
+			i, _ := attackJobs.Index(fmt.Sprintf("attack/%s/%s", id, atk.name))
+			p := attackRes[i]
 			fmt.Printf("  %-28s %6d bitflips\n", p.Name, p.Flips)
 		}
 		fmt.Println("double-sided NRH after one preventive refresh at reduced tRAS:")
 		for _, f := range factors {
-			p := latencyRes[fmt.Sprintf("latency/%s/%.2f", id, f)]
+			i, _ := latencies.Index(fmt.Sprintf("latency/%s/%.2f", id, f))
+			p := latencyRes[i]
 			fmt.Printf("  %.2f tRAS: NRH %6d  BER %.4f\n", p.Factor, p.NRH, p.BER)
 		}
 		fmt.Println()

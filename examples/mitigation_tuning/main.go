@@ -90,7 +90,8 @@ func main() {
 		log.Fatal(err)
 	}
 	get := func(mech string, nrh int, pacName string) sim.Result {
-		return results[fmt.Sprintf("tune/%s/%d/%s", mech, nrh, pacName)]
+		i, _ := m.Index(fmt.Sprintf("tune/%s/%d/%s", mech, nrh, pacName))
+		return results[i]
 	}
 	baseline := get("None", 1024, "-")
 

@@ -122,17 +122,22 @@ type cell[T any] interface {
 	measure(CharOptions) (T, error)
 }
 
-// results holds one run's measurements by cell key.
-type results[T any] map[string]T
+// results holds one run's measurements, in the order of the matrix's
+// jobs.
+type results[T any] struct {
+	m    *runner.Matrix[T]
+	vals []T
+}
 
 // at returns the measurement of c. A builder reads only the cells it
 // listed, so a cell that was never planned is an error.
 func (r results[T]) at(c cell[T]) (T, error) {
-	v, ok := r[c.key()]
+	i, ok := r.m.Index(c.key())
 	if !ok {
-		return v, fmt.Errorf("exp: internal: cell %s not planned", c.key())
+		var zero T
+		return zero, fmt.Errorf("exp: internal: cell %s not planned", c.key())
 	}
-	return v, nil
+	return r.vals[i], nil
 }
 
 // runCells measures the cells through the runner, each distinct key
@@ -150,9 +155,9 @@ func runCells[T any, C cell[T]](o CharOptions, label string, cells []C) (results
 		})
 	}
 	if err := o.Validate(); err != nil {
-		return nil, err
+		return results[T]{}, err
 	}
-	return runner.Run(runner.Options{
+	vals, err := runner.Run(runner.Options{
 		Workers: o.Parallel,
 		Seed:    o.Seed,
 		Fingerprint: fmt.Sprintf("char:v1:rows=%d:bank=%d:iters=%d:seed=%d",
@@ -161,6 +166,7 @@ func runCells[T any, C cell[T]](o CharOptions, label string, cells []C) (results
 		Progress: o.Progress,
 		Label:    label,
 	}, m.Jobs())
+	return results[T]{m, vals}, err
 }
 
 // platform builds a fresh test platform for m at 80 C and selects the

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -40,10 +41,20 @@ var buildID = sync.OnceValue(func() string {
 	return hex.EncodeToString(h.Sum(nil))[:20]
 })
 
+// buildSuffix is what fullFingerprint appends to a caller's
+// fingerprint.
+var buildSuffix = sync.OnceValue(func() string { return "\x1fbuild=" + buildID() })
+
 // fullFingerprint is what entries are stored and validated under: the
 // caller's fingerprint plus the build identity.
 func fullFingerprint(fingerprint string) string {
-	return fingerprint + "\x1fbuild=" + buildID()
+	return fingerprint + buildSuffix()
+}
+
+// isFullFingerprint reports whether full is fullFingerprint(fingerprint)
+// without building the latter, so a memory-tier hit allocates nothing.
+func isFullFingerprint(full, fingerprint string) bool {
+	return strings.HasPrefix(full, fingerprint) && full[len(fingerprint):] == buildSuffix()
 }
 
 // hashCell is the content address of one cell: the full fingerprint

@@ -21,8 +21,10 @@
 //     scheduling order, worker identity, or time. Two runs with the
 //     same base seed and key always observe the same Ctx.Seed.
 //
-//   - The result map is keyed by job key, so assembly order is the
-//     caller's loop order, not completion order.
+//   - Results come back in job order (results[i] is jobs[i]'s), so
+//     assembly order is the caller's loop order, not completion order.
+//     A planner keeps each cell's job index (Matrix.Add returns it)
+//     and reads the result by index, with no lookup by key.
 //
 // Callers may ignore Ctx.Seed and capture a seed of their own: paired
 // experiments (a baseline and a treatment that must see identical
@@ -58,6 +60,11 @@
 // Options.OnWarning (or Progress), never to a lost result. The
 // conformance suite in runner/storetest pins these semantics for
 // every backend.
+//
+// A planner whose jobs always run under one fingerprint and seed
+// computes each cell's store address once per plan (Matrix.Address
+// sets Job.Addr), not once per run; a job without one has its address
+// derived from its key on every run.
 //
 // The store holds whatever the job returned, so cached and computed
 // results are interchangeable only if job result types marshal to

@@ -10,20 +10,24 @@ import (
 
 // ExampleMatrix plans a small sweep: the matrix deduplicates shared
 // cells (a baseline requested by every sweep point plans once), and
-// Run executes the distinct jobs over a bounded pool with results
-// keyed by job key — bit-identical at any worker count.
+// Run executes the distinct jobs over a bounded pool, returning results
+// in job order — bit-identical at any worker count.
 func ExampleMatrix() {
 	m := runner.NewMatrix[float64]()
+	var base, nrh64 int // job indices: positions in Run's results
 	for _, nrh := range []int{1024, 256, 64} {
 		// Every sweep point also wants the unprotected baseline; only
 		// the first request plans it.
-		m.Add("cell/baseline", func(runner.Ctx) (float64, error) {
+		base = m.Add("cell/baseline", func(runner.Ctx) (float64, error) {
 			return 1.0, nil
 		})
 		nrh := nrh
-		m.Add(fmt.Sprintf("cell/nrh=%d", nrh), func(runner.Ctx) (float64, error) {
+		i := m.Add(fmt.Sprintf("cell/nrh=%d", nrh), func(runner.Ctx) (float64, error) {
 			return 1 - 1.0/float64(nrh), nil // stand-in for a simulation
 		})
+		if nrh == 64 {
+			nrh64 = i
+		}
 	}
 	fmt.Printf("planned %d distinct jobs\n", m.Len())
 
@@ -31,7 +35,7 @@ func ExampleMatrix() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("nrh=64 vs baseline: %.4f\n", results["cell/nrh=64"]/results["cell/baseline"])
+	fmt.Printf("nrh=64 vs baseline: %.4f\n", results[nrh64]/results[base])
 	// Output:
 	// planned 4 distinct jobs
 	// nrh=64 vs baseline: 0.9844

@@ -154,7 +154,7 @@ func TestFlakyStorePreservesExactlyOnceCoalescing(t *testing.T) {
 	opt := runner.Options{Seed: 3, Fingerprint: "flaky:v3", Store: store, OnWarning: w.onWarning}
 
 	const submissions, cells = 5, 9
-	results := make([]map[string]flakyResult, submissions)
+	results := make([][]flakyResult, submissions)
 	var wg sync.WaitGroup
 	errs := make([]error, submissions)
 	for s := 0; s < submissions; s++ {

@@ -265,7 +265,7 @@ func TestMemoMismatchIsSilentMiss(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			mustPutCell(t, s, "h", "fp", "cell/a", countingResult{N: 1})
 			getCounting(t, s, "h", "fp", "cell/a")
-			for _, c := range []struct{ fp, key string }{{"fp", "cell/b"}, {"fp2", "cell/a"}} {
+			for _, c := range []struct{ fp, key string }{{"fp", "cell/b"}, {"fp2", "cell/a"}, {"f", "cell/a"}} {
 				out := countingResult{N: -1}
 				hit, err := GetCell(s, "h", c.fp, c.key, &out)
 				if hit || err != nil || out.N != -1 {

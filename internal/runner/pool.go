@@ -139,16 +139,19 @@ func (p *Pool[T]) ComputeCounts() map[string]int {
 	return out
 }
 
-// Run executes the jobs on the pool and returns the results keyed by
-// job key. It is safe to call concurrently from multiple goroutines;
-// Options.Workers is ignored (the pool's bound governs). Each
-// invocation dispatches its jobs in index order and drains in-flight
-// jobs on failure, so the determinism, caching and failure guarantees
-// of top-level Run hold unchanged — results are bit-identical whether
-// a cell was computed, cached, or coalesced. Only actual computation
-// occupies a pool slot: an invocation waiting on the result store or on
-// another invocation's in-flight cell consumes no capacity.
-func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
+// Run executes the jobs on the pool and returns their results in job
+// order: results[i] is jobs[i]'s. It is safe to call concurrently from
+// multiple goroutines; Options.Workers is ignored (the pool's bound
+// governs). Each invocation dispatches its jobs in index order and
+// drains in-flight jobs on failure, so the determinism, caching and
+// failure guarantees of top-level Run hold unchanged — results are
+// bit-identical whether a cell was computed, cached, or coalesced.
+// Only actual computation occupies a pool slot: an invocation waiting
+// on the result store or on another invocation's in-flight cell
+// consumes no capacity. A job's store address is its Addr when set,
+// else derived from its key; phase clocks for the cell's span tree
+// are read only when Options.Trace is set.
+func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 	seen := make(map[string]bool, len(jobs))
 	for _, j := range jobs {
 		if j.Key == "" || j.Run == nil {
@@ -225,7 +228,10 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 			defer wg.Done()
 			for i := range feed {
 				j := jobs[i]
-				hash := hashCell(opt.Fingerprint, opt.Seed, j.Key)
+				hash := j.Addr
+				if hash == "" {
+					hash = hashCell(opt.Fingerprint, opt.Seed, j.Key)
+				}
 				cellStart := time.Now()
 				ct := newCellTrace(opt.Trace, opt.TraceID, j.Key, i, cellStart)
 
@@ -278,9 +284,9 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 					if opt.Store == nil {
 						return false
 					}
-					getStart := time.Now()
+					getStart := ct.now()
 					hit, gerr := GetCell(opt.Store, hash, opt.Fingerprint, j.Key, &results[i])
-					ct.phase("store-get", getStart, time.Now())
+					ct.phase("store-get", getStart, ct.now())
 					if gerr != nil {
 						warn(warningFor(j.Key, "get", gerr))
 					}
@@ -336,11 +342,11 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 							// land it in the local tiers so the next sweep
 							// (or a coordinator restart) finds it without
 							// asking the fleet.
-							putStart := time.Now()
+							putStart := ct.now()
 							if serr := opt.Store.Put(hash, rr.Data); serr != nil {
 								warn(warningFor(j.Key, "put", serr))
 							}
-							ct.phase("store-put", putStart, time.Now())
+							ct.phase("store-put", putStart, ct.now())
 						}
 						f.cached = rr.Cached
 						release(results[i], nil)
@@ -376,9 +382,9 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) (map[string]T, error) {
 				if err != nil {
 					fail()
 				} else if opt.Store != nil {
-					putStart := time.Now()
+					putStart := ct.now()
 					serr := PutCell(opt.Store, hash, opt.Fingerprint, j.Key, res)
-					ct.phase("store-put", putStart, time.Now())
+					ct.phase("store-put", putStart, ct.now())
 					if serr != nil {
 						warn(warningFor(j.Key, "put", serr))
 					}
@@ -408,10 +414,5 @@ dispatch:
 		}
 	}
 	prog.finish()
-
-	out := make(map[string]T, len(jobs))
-	for i, j := range jobs {
-		out[j.Key] = results[i]
-	}
-	return out, nil
+	return results, nil
 }

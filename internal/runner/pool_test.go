@@ -25,7 +25,7 @@ func TestPoolSharedCacheComputesEachCellOnce(t *testing.T) {
 	opt := Options{Seed: 42, Fingerprint: "pool:v1", Store: store}
 
 	const submissions = 6
-	results := make([]map[string]mixResult, submissions)
+	results := make([][]mixResult, submissions)
 	errsCh := make(chan error, submissions)
 	var wg sync.WaitGroup
 	for s := 0; s < submissions; s++ {
@@ -79,7 +79,7 @@ func TestPoolCoalescesInFlightWithoutCache(t *testing.T) {
 	}
 
 	type outcome struct {
-		res map[string]mixResult
+		res []mixResult
 		err error
 	}
 	outs := make(chan outcome, 2)

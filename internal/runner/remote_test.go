@@ -100,8 +100,8 @@ func TestRemoteExecutesCells(t *testing.T) {
 		t.Fatalf("%d cells computed locally, want 0", computed.Load())
 	}
 	for i, j := range jobs {
-		if res[j.Key] != i*10 {
-			t.Fatalf("cell %s = %d, want %d", j.Key, res[j.Key], i*10)
+		if res[i] != i*10 {
+			t.Fatalf("cell %s = %d, want %d", j.Key, res[i], i*10)
 		}
 	}
 	if len(events) != len(jobs) {
@@ -159,7 +159,7 @@ func TestRemoteDeclineFallsBackSilently(t *testing.T) {
 			t.Fatalf("locally-computed cell attributed to worker %q", w)
 		}
 	}
-	if res["cell-0"] != 0 || res["cell-3"] != 30 {
+	if res[0] != 0 || res[3] != 30 {
 		t.Fatalf("wrong results %v", res)
 	}
 }
@@ -187,7 +187,7 @@ func TestRemoteFailureWarnsAndComputesLocally(t *testing.T) {
 	if computed.Load() != 2 {
 		t.Fatalf("%d local computes after dispatch failure, want 2", computed.Load())
 	}
-	if res["cell-1"] != 10 {
+	if res[1] != 10 {
 		t.Fatalf("wrong result %v", res)
 	}
 	if len(warned) != 2 {
@@ -240,7 +240,7 @@ func TestRemoteFailureRechecksStore(t *testing.T) {
 	if computed.Load() != 0 {
 		t.Fatalf("cell recomputed locally despite the worker's write-back")
 	}
-	if res["cell-0"] != 777 {
+	if res[0] != 777 {
 		t.Fatalf("result %v, want the worker's 777", res)
 	}
 	if len(warned) != 1 || warned[0].Op != "dispatch" {
@@ -284,7 +284,7 @@ func TestRemoteGarbageEnvelopeFallsBack(t *testing.T) {
 	if computed.Load() != 1 {
 		t.Fatal("garbage envelope was not recomputed locally")
 	}
-	if res["cell-0"] != 0 {
+	if res[0] != 0 {
 		t.Fatalf("result %v", res)
 	}
 	if len(warned) != 1 || warned[0].Op != "dispatch" {
@@ -323,7 +323,7 @@ func TestRemoteResultsLandInStore(t *testing.T) {
 	if computed.Load() != 0 || cached.Load() != 3 {
 		t.Fatalf("second run: %d computed, %d cached; want 0/3", computed.Load(), cached.Load())
 	}
-	if res["cell-2"] != 20 {
+	if res[2] != 20 {
 		t.Fatalf("results %v", res)
 	}
 }

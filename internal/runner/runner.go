@@ -27,12 +27,15 @@ type Ctx struct {
 }
 
 // Job is one cell of a sweep matrix. Key must be unique within the
-// matrix and stable across runs: it names the cell in the result map
-// and, together with the options fingerprint, addresses its cache
-// entry.
+// matrix and stable across runs: it names the cell and, together with
+// the options fingerprint and seed, addresses its cache entry.
 type Job[T any] struct {
 	Key string
 	Run func(Ctx) (T, error)
+	// Addr is the cell's store address under the Fingerprint and Seed
+	// the job runs with, as Matrix.Address computes it once per plan;
+	// "" makes every Run derive it from Key.
+	Addr string
 }
 
 // Options configures one engine invocation.
@@ -139,22 +142,35 @@ func NewMatrix[T any]() *Matrix[T] {
 	return &Matrix[T]{seen: make(map[string]int)}
 }
 
-// Add plans one job unless key is already planned.
-func (m *Matrix[T]) Add(key string, run func(Ctx) (T, error)) {
-	if _, ok := m.seen[key]; ok {
-		return
+// Add plans one job unless key is already planned, and returns the
+// job's index: its position in Jobs and in a Run's results.
+func (m *Matrix[T]) Add(key string, run func(Ctx) (T, error)) int {
+	if i, ok := m.seen[key]; ok {
+		return i
 	}
 	m.seen[key] = len(m.jobs)
 	m.jobs = append(m.jobs, Job[T]{Key: key, Run: run})
+	return len(m.jobs) - 1
+}
+
+// Address computes every planned job's store address (Job.Addr) under
+// the fingerprint and seed the jobs will run with, so runs of the same
+// matrix skip the hashing. The jobs must then run under exactly these
+// Options.Fingerprint and Options.Seed. Call it once planning is done:
+// jobs added afterwards derive their address on every run.
+func (m *Matrix[T]) Address(fingerprint string, seed uint64) {
+	for i := range m.jobs {
+		m.jobs[i].Addr = hashCell(fingerprint, seed, m.jobs[i].Key)
+	}
 }
 
 // Len returns the number of distinct planned jobs.
 func (m *Matrix[T]) Len() int { return len(m.jobs) }
 
-// Has reports whether a job with the given key is already planned.
-func (m *Matrix[T]) Has(key string) bool {
-	_, ok := m.seen[key]
-	return ok
+// Index returns the index of the planned job with the given key.
+func (m *Matrix[T]) Index(key string) (int, bool) {
+	i, ok := m.seen[key]
+	return i, ok
 }
 
 // Job returns the planned job with the given key. Fabric workers use
@@ -178,10 +194,10 @@ func JobSeed(base uint64, key string) uint64 {
 	return xrand.Derive(base, h.Sum64()).Uint64()
 }
 
-// Run executes the jobs over a transient worker pool and returns the
-// results keyed by job key. See the package documentation for the
+// Run executes the jobs over a transient worker pool and returns their
+// results in job order. See the package documentation for the
 // determinism, caching and failure guarantees; long-lived callers
 // that want cross-invocation coalescing construct a Pool instead.
-func Run[T any](opt Options, jobs []Job[T]) (map[string]T, error) {
+func Run[T any](opt Options, jobs []Job[T]) ([]T, error) {
 	return NewPool[T](opt.Workers).Run(opt, jobs)
 }

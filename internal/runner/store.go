@@ -210,12 +210,11 @@ func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error
 	if !ok {
 		return false, nil
 	}
-	fp := fullFingerprint(fingerprint)
 	ms, _ := s.(memoizer)
 	if ms != nil {
 		if m := ms.memo(hash, data); m != nil {
 			// m holds the key and fingerprint these very bytes carry.
-			if m.key != key || m.fingerprint != fp {
+			if m.key != key || !isFullFingerprint(m.fingerprint, fingerprint) {
 				return false, nil
 			}
 			if v, ok := m.value.(T); ok {
@@ -224,6 +223,7 @@ func GetCell[T any](s Store, hash, fingerprint, key string, out *T) (bool, error
 			}
 		}
 	}
+	fp := fullFingerprint(fingerprint)
 	var v T
 	if d, ok := any(&v).(cellDecoder); !ok || !decodeCellFast(data, fp, key, d) {
 		var e entry

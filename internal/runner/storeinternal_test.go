@@ -62,8 +62,8 @@ func TestDiskStoreReadsPreexistingLayout(t *testing.T) {
 	if computed {
 		t.Fatal("engine recomputed a cell present in the pre-existing layout")
 	}
-	if !reflect.DeepEqual(res["cell/a"], got) {
-		t.Fatalf("engine served %+v, want %+v", res["cell/a"], got)
+	if !reflect.DeepEqual(res[0], got) {
+		t.Fatalf("engine served %+v, want %+v", res[0], got)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestCorruptEntryWarningNamesCellAndPath(t *testing.T) {
 	if gerr != nil || !hit {
 		t.Fatalf("after the run, GetCell = hit=%v err=%v, want the rewritten entry", hit, gerr)
 	}
-	if !reflect.DeepEqual(out, res[key]) {
-		t.Fatalf("rewritten entry %+v differs from the computed result %+v", out, res[key])
+	if !reflect.DeepEqual(out, res[3]) {
+		t.Fatalf("rewritten entry %+v differs from the computed result %+v", out, res[3])
 	}
 }
 
@@ -150,6 +150,32 @@ func TestHashCellMatchesFormatted(t *testing.T) {
 		fp, key := str(40), str(1500)
 		if got, want := hashCell(fp, seed, key), formatted(fp, seed, key); got != want {
 			t.Fatalf("hashCell(%q, %d, %q) = %s, want %s", fp, seed, key, got, want)
+		}
+	}
+}
+
+// TestMatrixAddress: Add returns each job's index, a repeated key
+// included; Address sets every job's Addr to the content address the
+// pool would derive from its key; and a run stores each cell under
+// exactly that address.
+func TestMatrixAddress(t *testing.T) {
+	m := NewMatrix[mixResult]()
+	for i, key := range []string{"cell/a", "cell/b", "cell/a"} {
+		if got, want := m.Add(key, compute), []int{0, 1, 0}[i]; got != want {
+			t.Fatalf("Add(%q) = %d, want %d", key, got, want)
+		}
+	}
+	m.Address("addr:v1", 7)
+	store := NewMemStore(0)
+	if _, err := Run(Options{Workers: 2, Seed: 7, Fingerprint: "addr:v1", Store: store}, m.Jobs()); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range m.Jobs() {
+		if want := hashCell("addr:v1", 7, j.Key); j.Addr != want {
+			t.Fatalf("%s: Addr %s, want %s", j.Key, j.Addr, want)
+		}
+		if _, ok, err := store.Get(j.Addr); !ok || err != nil {
+			t.Fatalf("%s: nothing stored at its address (ok=%v err=%v)", j.Key, ok, err)
 		}
 	}
 }

@@ -118,6 +118,15 @@ func newCellTrace(w *telemetry.TraceWriter, traceID, key string, i int, start ti
 	}}
 }
 
+// now reads the clock for a phase span, and only when the span will be
+// recorded: the zero time when tracing is off.
+func (c *cellTrace) now() time.Time {
+	if c == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // phase records one child phase span.
 func (c *cellTrace) phase(name string, start, end time.Time) {
 	if c == nil {

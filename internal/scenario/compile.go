@@ -113,10 +113,12 @@ type resolvedMember struct {
 	coresJSON []byte
 }
 
-// memberCells locates one member's results within a row: its cell job
-// and, when the scenario has a baseline, the normalization job.
+// memberCells locates one member's results within a row: the job
+// index of its cell and, when the scenario has a baseline, of the
+// normalization cell (-1 without one). Indices are positions in the
+// plan's job list, so in a run's results.
 type memberCells struct {
-	key, baseKey string
+	cell, base int
 }
 
 // rowPlan is one output row: axis displays plus, per workload group,
@@ -333,13 +335,13 @@ func (s *Spec) Compile() (*Plan, error) {
 						}
 					}
 				}
-				mc := memberCells{}
-				mc.key, err = plan.addJob(rc, mem)
+				mc := memberCells{base: -1}
+				mc.cell, err = plan.addJob(rc, mem)
 				if err != nil {
 					return nil, err
 				}
 				if baseRC != nil {
-					mc.baseKey, err = plan.addJob(baseRC, mem)
+					mc.base, err = plan.addJob(baseRC, mem)
 					if err != nil {
 						return nil, err
 					}
@@ -361,22 +363,26 @@ func (s *Spec) Compile() (*Plan, error) {
 		}
 		plan.rows = rows
 	}
+	// Every run of the plan uses the same fingerprint and seed, so each
+	// cell's store address is computed here, once per plan.
+	plan.matrix.Address(runFingerprint, runSeed)
 	return plan, nil
 }
 
-// addJob plans one simulation cell, returning its content-addressed
-// key; identical cells are planned once.
-func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (string, error) {
+// addJob plans one simulation cell, returning its job index; identical
+// cells are planned once.
+func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (int, error) {
 	key, err := p.keys.key(rc, mem)
 	if err != nil {
-		return "", err
+		return 0, err
+	}
+	if i, ok := p.matrix.Index(key); ok {
+		return i, nil
 	}
 	cellCopy := *rc
 	cores := mem.cores
-	if !p.matrix.Has(key) {
-		p.cells = append(p.cells, Cell{Key: key, rc: &cellCopy, cores: cores})
-	}
-	p.matrix.Add(key, func(ctx runner.Ctx) (sim.Result, error) {
+	p.cells = append(p.cells, Cell{Key: key, rc: &cellCopy, cores: cores})
+	return p.matrix.Add(key, func(ctx runner.Ctx) (sim.Result, error) {
 		opt, err := cellCopy.simOptions(cores)
 		if err != nil {
 			return sim.Result{}, err
@@ -407,8 +413,7 @@ func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (string, error) {
 			res.Profile = nil
 		}
 		return res, nil
-	})
-	return key, nil
+	}), nil
 }
 
 // simOptions assembles the sim.Options for one cell. All-catalog

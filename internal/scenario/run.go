@@ -64,18 +64,25 @@ func Run(s *Spec, opt RunOptions) (*exp.Table, error) {
 	return p.Run(opt)
 }
 
+// The runner options every plan runs under, fixed so that Compile can
+// address each cell in the store once per plan.
+const (
+	// Cells ignore Ctx.Seed (each carries its resolved seed in its
+	// key), so the engine seed is pinned to 0: mixing the spec seed
+	// into cache hashes would fragment the cache between specs that
+	// default the seed and specs that spell it out.
+	runSeed = 0
+	// Keys carry the full resolved cell configuration, so the
+	// fingerprint only needs to version the schema.
+	runFingerprint = "scenario:v1"
+)
+
 // Run executes the plan's job matrix and assembles the output table.
 func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 	ropt := runner.Options{
-		Workers: opt.Parallel,
-		// Cells ignore Ctx.Seed (each carries its resolved seed in its
-		// key), so the engine seed is pinned to 0: mixing the spec
-		// seed into cache hashes would fragment the cache between
-		// specs that default the seed and specs that spell it out.
-		Seed: 0,
-		// Keys carry the full resolved cell configuration, so the
-		// fingerprint only needs to version the schema.
-		Fingerprint: "scenario:v1",
+		Workers:     opt.Parallel,
+		Seed:        runSeed,
+		Fingerprint: runFingerprint,
 		Progress:    opt.Progress,
 		Label:       p.Spec.Name,
 		Store:       opt.Store,
@@ -92,7 +99,7 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 		}
 		ropt.Store = st
 	}
-	var results map[string]sim.Result
+	var results []sim.Result
 	var err error
 	if opt.Pool != nil {
 		results, err = opt.Pool.Run(ropt, p.matrix.Jobs())
@@ -124,19 +131,11 @@ func (p *Plan) Run(opt RunOptions) (*exp.Table, error) {
 			vals := make([]float64, 0, len(row.groups[p.groupIdx[col.Group]]))
 			var bases []float64 // the baselines' own values, for ratioOfSums
 			for _, mc := range row.groups[p.groupIdx[col.Group]] {
-				res, ok := results[mc.key]
-				if !ok {
-					return nil, fmt.Errorf("scenario %s: internal: cell %q not planned", p.Spec.Name, mc.key)
-				}
 				var base *sim.Result
-				if mc.baseKey != "" {
-					b, ok := results[mc.baseKey]
-					if !ok {
-						return nil, fmt.Errorf("scenario %s: internal: baseline cell %q not planned", p.Spec.Name, mc.baseKey)
-					}
-					base = &b
+				if mc.base >= 0 {
+					base = &results[mc.base]
 				}
-				vals = append(vals, m.eval(&res, base))
+				vals = append(vals, m.eval(&results[mc.cell], base))
 				if col.Agg == ratioOfSums {
 					bases = append(bases, m.eval(base, nil))
 				}

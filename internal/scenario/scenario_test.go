@@ -529,8 +529,8 @@ func TestFigureVocabulary(t *testing.T) {
 			continue
 		}
 		for _, mc := range row.groups[0] {
-			if mc.key != mc.baseKey {
-				t.Errorf("factor 1.0 cell %s is not its baseline %s", mc.key, mc.baseKey)
+			if mc.cell != mc.base {
+				t.Errorf("factor 1.0 cell %d is not its baseline %d", mc.cell, mc.base)
 			}
 		}
 	}

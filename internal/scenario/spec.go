@@ -346,7 +346,11 @@ func LoadFile(path string) (*Spec, error) {
 
 // inlineTraces rewrites every path-based trace core into its inline
 // text form, resolving relative paths against dir. The display name
-// defaults to the file's base name without its extension.
+// defaults to the file's base name without its extension. A core that
+// replays only its first Loop records inlines only those, as
+// resolveReplay would truncate them, so the digest and the cell keys
+// are those of the whole file while the spec stays small enough to
+// ship to a daemon.
 func (s *Spec) inlineTraces(dir string) error {
 	for _, g := range s.Workloads {
 		for mi, m := range g.Members {
@@ -366,6 +370,9 @@ func (s *Spec) inlineTraces(dir string) error {
 				recs, err := trace.ReadFile(p)
 				if err != nil {
 					return s.errf(path+".path", "%v", err)
+				}
+				if ts.Loop > 0 && ts.Loop < len(recs) {
+					recs = recs[:ts.Loop]
 				}
 				var buf bytes.Buffer
 				if err := trace.WriteRecords(&buf, recs); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,6 +144,84 @@ func TestTracePathIs422(t *testing.T) {
 	srv.mu.Unlock()
 	if jobs != 0 {
 		t.Fatalf("a rejected spec queued %d jobs", jobs)
+	}
+}
+
+// TestLoopedTraceFileShips: a spec file whose trace core replays only
+// the first 100 of a 300,000-record file loads with just those 100
+// records inline, compiles to the job keys of the whole file pasted
+// inline, and so stays small enough to validate through pacramd, whose
+// request bound the whole file would break.
+func TestLoopedTraceFileShips(t *testing.T) {
+	_, client := newTestServer(t, 1)
+	const records, loop = 300_000, 100
+	var text strings.Builder
+	for i := 0; i < records; i++ {
+		fmt.Fprintf(&text, "%d 0x%x R\n", i%8, 0x7ab50000+uint64(i%4096)*64)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "k.trace"), []byte(text.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	doc := func(trace string) string {
+		return `{
+		  "name": "looped",
+		  "sim": { "instructions": 2000, "warmup": 200 },
+		  "workloads": [{ "name": "g", "members": [{ "cores": [{ "trace": ` + trace + ` }] }] }],
+		  "columns": [{ "name": "ipc", "group": "g", "metric": "sumIPC" }]
+		}`
+	}
+	specPath := filepath.Join(dir, "looped.json")
+	if err := os.WriteFile(specPath, []byte(doc(fmt.Sprintf(`{ "name": "k", "path": "k.trace", "loop": %d }`, loop))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := scenario.LoadFile(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := loaded.Workloads[0].Members[0].Cores[0].Trace.Inline
+	if n := strings.Count(inline, "\n"); n != loop {
+		t.Fatalf("LoadFile inlined %d records, want the %d the core replays", n, loop)
+	}
+
+	inlineJSON, err := json.Marshal(text.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullDoc := doc(fmt.Sprintf(`{ "name": "k", "inline": %s, "loop": %d }`, inlineJSON, loop))
+	if len(fullDoc) <= maxRequestBytes {
+		t.Fatalf("the whole file inline is %d bytes, under the %d-byte request bound: no test", len(fullDoc), maxRequestBytes)
+	}
+	full, err := scenario.Parse([]byte(fullDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func(s *scenario.Spec) []string {
+		t.Helper()
+		p, err := s.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, c := range p.Cells() {
+			out = append(out, c.Key)
+		}
+		return out
+	}
+	if got, want := keys(loaded), keys(full); !slices.Equal(got, want) {
+		t.Fatalf("looped file compiles to keys\n%q\nthe whole file inline to\n%q", got, want)
+	}
+
+	raw, err := json.Marshal(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr, err := client.Validate(SubmitRequest{Spec: raw})
+	if err != nil {
+		t.Fatalf("validating the loaded spec (%d bytes) through the daemon: %v", len(raw), err)
+	}
+	if vr.Cells != 1 {
+		t.Fatalf("daemon validated %d cells, want 1", vr.Cells)
 	}
 }
 

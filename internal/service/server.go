@@ -514,6 +514,12 @@ func (j *job) addEvent(ev runner.Event) {
 	frame := appendCellFrame(buf[:0], ce)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.stream == nil {
+		// Size the stream for the whole job from its first frame, with
+		// a quarter's headroom because keys differ in length, so it is
+		// not regrown frame by frame.
+		j.stream = make([]byte, 0, ev.Total*(len(frame)+len(frame)/4))
+	}
 	j.stream = append(j.stream, frame...)
 	// Events arrive from concurrent workers, so Done values may appear
 	// out of order; the counter only ever advances.

@@ -47,6 +47,10 @@ func (s *Server) handleFabricExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, ok := cp.plan.Job(req.Key)
+	// The coordinator names the fingerprint and seed the cell runs
+	// under, so its store address is derived from them, not taken from
+	// the plan.
+	job.Addr = ""
 	if !ok {
 		// The coordinator compiled this key from the same bytes; a miss
 		// means build skew between daemons. Refusing makes the
@@ -94,7 +98,7 @@ func (s *Server) handleFabricExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "executing cell: %v", err)
 		return
 	}
-	entry, err := runner.EncodeCellEnvelope(req.Fingerprint, req.Key, results[req.Key])
+	entry, err := runner.EncodeCellEnvelope(req.Fingerprint, req.Key, results[0])
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding result: %v", err)
 		return
