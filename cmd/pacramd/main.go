@@ -30,7 +30,7 @@
 // Every daemon also doubles as a result-store cache origin
 // (GET/PUT /api/v1/store/{hash}): point another daemon's -store, or a
 // CLI run's -store, at this daemon's base URL to share finished cells
-// across machines and processes of the same build.
+// across machines and processes built from the same model.
 //
 // -coordinator turns the daemon into a sweep-fabric worker: it
 // registers with the coordinator daemon at the given URL (advertising

@@ -110,6 +110,9 @@ type Controller struct {
 	busUntil    uint64 // data bus (single channel)
 
 	draining bool
+	// drainHi/drainLo are the write-queue occupancies at which a drain
+	// starts and stops (WriteQueue × DrainHi/DrainLo, truncated).
+	drainHi, drainLo int
 
 	// events counts state changes (commands issued, completions fired,
 	// refresh transitions). Two equal readings around a Tick prove the
@@ -193,6 +196,8 @@ func NewController(cfg Config, mitig Mitigation, policy RefreshPolicy) (*Control
 		// Mechanisms like PRAC tax every precharge (counter update).
 		c.cRP += cyc(to.ExtraPrechargeNs())
 	}
+	c.drainHi = int(float64(cfg.WriteQueue) * cfg.DrainHi)
+	c.drainLo = int(float64(cfg.WriteQueue) * cfg.DrainLo)
 	c.refWindowCycles = cyc(t.TREFW)
 	c.nextRefWindow = c.refWindowCycles
 	for i := range c.ranks {
@@ -450,10 +455,10 @@ func (c *Controller) schedule(issue bool) uint64 {
 	// Demand. Write drain hysteresis: the flag follows queue occupancy,
 	// which is fixed until the next tick, so a dry run projects it.
 	draining := c.draining
-	if !draining && len(c.writeQ) >= int(float64(c.cfg.WriteQueue)*c.cfg.DrainHi) {
+	if !draining && len(c.writeQ) >= c.drainHi {
 		draining = true
 	}
-	if draining && len(c.writeQ) <= int(float64(c.cfg.WriteQueue)*c.cfg.DrainLo) {
+	if draining && len(c.writeQ) <= c.drainLo {
 		draining = false
 	}
 	if issue {

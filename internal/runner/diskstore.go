@@ -5,56 +5,43 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"pacram/internal/modelid"
 )
 
-// buildID fingerprints the running executable (SHA-256 of its bytes),
-// computed once per process. Mixing it into every cache hash means a
-// recompiled binary never reads entries written by a different build —
-// results cached under old code are recomputed, not replayed. With
-// unchanged sources, `go run` / `go build` reproduce the same binary,
-// so caches survive across invocations of the same code. The identity
-// also holds across the store wire: a remote origin serves entries to
-// any client, but only a client running the same build computes the
-// same hashes and validates the same fingerprints.
-var buildID = sync.OnceValue(func() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown-build"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown-build"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown-build"
-	}
-	return hex.EncodeToString(h.Sum(nil))[:20]
-})
+// buildID is the identity every stored fingerprint and cell address
+// carries: the model identity (modelid.Model, generated from the
+// sources of the packages that decide a result), the architecture and
+// the toolchain version. The last two stay because the compiler and
+// the architecture can change float results (FMA fusion on arm64, for
+// one). All three are compile-time strings, so nothing is hashed at
+// run time. Any two processes built from the same model share cells —
+// simulate, scenario, artifact and pacramd alike, and a remote origin
+// with its clients — while a change to the model misses every cell
+// the old model computed.
+var buildID = modelid.Model + "/" + runtime.GOARCH + "/" + runtime.Version()
 
 // buildSuffix is what fullFingerprint appends to a caller's
 // fingerprint.
-var buildSuffix = sync.OnceValue(func() string { return "\x1fbuild=" + buildID() })
+var buildSuffix = "\x1fbuild=" + buildID
 
 // fullFingerprint is what entries are stored and validated under: the
 // caller's fingerprint plus the build identity.
 func fullFingerprint(fingerprint string) string {
-	return fingerprint + buildSuffix()
+	return fingerprint + buildSuffix
 }
 
 // isFullFingerprint reports whether full is fullFingerprint(fingerprint)
 // without building the latter, so a memory-tier hit allocates nothing.
 func isFullFingerprint(full, fingerprint string) bool {
-	return strings.HasPrefix(full, fingerprint) && full[len(fingerprint):] == buildSuffix()
+	return strings.HasPrefix(full, fingerprint) && full[len(fingerprint):] == buildSuffix
 }
 
 // hashCell is the content address of one cell: the full fingerprint
@@ -69,8 +56,7 @@ func isFullFingerprint(full, fingerprint string) bool {
 func hashCell(fingerprint string, seed uint64, key string) string {
 	var buf [1024]byte
 	msg := append(buf[:0], fingerprint...)
-	msg = append(msg, "\x1fbuild="...)
-	msg = append(msg, buildID()...)
+	msg = append(msg, buildSuffix...)
 	msg = append(msg, '\x1f')
 	msg = strconv.AppendUint(msg, seed, 10)
 	msg = append(msg, '\x1f')

@@ -36,30 +36,32 @@
 //
 // With Options.Store set, a completed job's result is stored as a
 // JSON envelope keyed by a SHA-256 hash of the options fingerprint,
-// the base seed, the job key, and a fingerprint of the running
-// executable. A later run with the same tuple loads the stored result
-// and skips the computation; any change to the fingerprint (scale,
-// seed) or to the compiled code misses the cache rather than
-// replaying results computed by different code. The Store interface
-// is pluggable — a size-bounded in-memory LRU (NewMemStore), the
-// classic one-file-per-cell disk layout (NewDiskStore, byte-compatible
-// with cache directories written by every earlier release), a remote
-// pacramd cache origin over HTTP (NewRemoteStore), or a tiered stack
-// of them with read-through promotion and write-back (NewTiered).
-// OpenStore is the one place a stack is composed (mem → disk →
-// remote); a command opens one per process and runs every experiment
-// on it, so cells one experiment computed are hits for the next. The
-// guarantees are backend-independent: entries are
-// self-describing (key and fingerprint travel with the result and are
-// re-validated on load, see GetCell), so corrupt or mismatched
-// entries are treated as misses and rewritten, never replayed. Disk
-// entries are written atomically (temp file + rename), so concurrent
-// processes sharing a cache directory at worst duplicate work, never
-// corrupt it. A failing store operation (disk full mid-run, an
-// unreachable remote tier) degrades to one warning per failure via
-// Options.OnWarning (or Progress), never to a lost result. The
-// conformance suite in runner/storetest pins these semantics for
-// every backend.
+// the base seed, the job key, and the build identity: the model
+// identity (modelid.Model, a generated hash of the sources of the
+// packages that decide a result), the CPU architecture and the Go
+// version. A later run with the same tuple loads the stored result
+// and skips the computation, whichever binary computed it; any change
+// to the fingerprint (scale, seed) or to the model misses the cache
+// rather than replaying results computed by a different model. The
+// Store interface is pluggable — a size-bounded in-memory LRU
+// (NewMemStore), the classic one-file-per-cell disk layout
+// (NewDiskStore, byte-compatible with cache directories written by
+// every earlier release), a remote pacramd cache origin over HTTP
+// (NewRemoteStore), or a tiered stack of them with read-through
+// promotion and write-back (NewTiered). OpenStore is the one place a
+// stack is composed (mem → disk → remote); a command opens one per
+// process and runs every experiment on it, so cells one experiment
+// computed are hits for the next. The guarantees are
+// backend-independent: entries are self-describing (key and
+// fingerprint travel with the result and are re-validated on load,
+// see GetCell), so corrupt or mismatched entries are treated as
+// misses and rewritten, never replayed. Disk entries are written
+// atomically (temp file + rename), so concurrent processes sharing a
+// cache directory at worst duplicate work, never corrupt it. A
+// failing store operation (disk full mid-run, an unreachable remote
+// tier) degrades to one warning per failure via Options.OnWarning (or
+// Progress), never to a lost result. The conformance suite in
+// runner/storetest pins these semantics for every backend.
 //
 // A planner whose jobs always run under one fingerprint and seed
 // computes each cell's store address once per plan (Matrix.Address
@@ -95,7 +97,7 @@
 // once ("singleflight" on the cell's content address, the same hash
 // the result store uses). With a shared Store the guarantee is strict:
 // the flight owner stores its result before releasing waiters, so a
-// cell is computed at most once per (store, build) no matter how many
+// cell is computed at most once per (store, model) no matter how many
 // overlapping sweeps arrive concurrently. Options.OnEvent streams one
 // Event per finished cell — computed, cached, coalesced, remote or
 // failed (Event.Outcome) — which is what the service forwards to

@@ -52,10 +52,13 @@ type Event struct {
 }
 
 // flight is one in-progress computation of a cell, shared by every
-// Run invocation that asks for the same cell hash while it runs.
+// Run invocation that asks for the same cell hash while it runs. A
+// Run allocates its flights in one slice, and a flight nobody waits on
+// allocates nothing more: done is made, under the pool's lock, by the
+// first waiter to arrive.
 type flight[T any] struct {
-	done   chan struct{} // closed once res/err are set
-	res    T
+	done   chan struct{} // nil until a waiter arrives; closed on release
+	res    *T            // the owner's results slot, final on release
 	err    error
 	cached bool // the owner served it from the result store, not compute
 }
@@ -73,7 +76,7 @@ type flight[T any] struct {
 // instead of starting its own. Combined with a shared Options.Store —
 // the owner stores its result before releasing waiters and
 // deregistering the flight — a cell is computed at most once per
-// (store, build) no matter how many overlapping sweeps are submitted
+// (store, model) no matter how many overlapping sweeps are submitted
 // concurrently, whatever backend the store stacks. Without a store,
 // deduplication still applies to cells whose computations overlap in
 // time.
@@ -178,6 +181,7 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
+	flights := make([]flight[T], len(jobs))
 	prog := newProgress(opt.Progress, opt.Label, len(jobs))
 
 	var (
@@ -239,11 +243,15 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 				// computation of this cell, or become its owner.
 				p.mu.Lock()
 				if f, ok := p.flights[hash]; ok {
+					if f.done == nil {
+						f.done = make(chan struct{})
+					}
+					wait := f.done
 					p.mu.Unlock()
-					<-f.done
+					<-wait
 					now := time.Now()
 					ct.phase("coalesce-wait", cellStart, now)
-					results[i], errs[i] = f.res, f.err
+					results[i], errs[i] = *f.res, f.err
 					if f.err != nil {
 						fail()
 					}
@@ -254,7 +262,8 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 						WaitNanos: int64(now.Sub(cellStart))}, ct, cellStart)
 					continue
 				}
-				f := &flight[T]{done: make(chan struct{})}
+				f := &flights[i]
+				f.res = &results[i]
 				p.flights[hash] = f
 				p.mu.Unlock()
 
@@ -266,13 +275,17 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 				// which degrades to duplicated work, never to
 				// corruption). Every path releases the flight before
 				// its record goes out, so a caller reacting to an event
-				// never finds that cell still in flight.
-				release := func(res T, err error) {
-					f.res, f.err = res, err
+				// never finds that cell still in flight. results[i] is
+				// final by then, and waiters copy it from there.
+				release := func(err error) {
+					f.err = err
 					p.mu.Lock()
 					delete(p.flights, hash)
+					wait := f.done
 					p.mu.Unlock()
-					close(f.done)
+					if wait != nil {
+						close(wait)
+					}
 				}
 
 				// tryStore serves the cell from the result store when
@@ -294,7 +307,7 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 						return false
 					}
 					f.cached = true
-					release(results[i], nil)
+					release(nil)
 					done(Event{Key: j.Key, Cached: true}, ct, cellStart)
 					return true
 				}
@@ -349,7 +362,7 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 							ct.phase("store-put", putStart, ct.now())
 						}
 						f.cached = rr.Cached
-						release(results[i], nil)
+						release(nil)
 						done(Event{Key: j.Key, Cached: rr.Cached, Worker: rr.Worker,
 							WaitNanos: int64(wait), ComputeNanos: int64(compute)}, ct, cellStart)
 						continue
@@ -389,7 +402,7 @@ func (p *Pool[T]) Run(opt Options, jobs []Job[T]) ([]T, error) {
 						warn(warningFor(j.Key, "put", serr))
 					}
 				}
-				release(res, err)
+				release(err)
 				done(Event{Key: j.Key, Err: err, WaitNanos: int64(computeStart.Sub(waitStart)),
 					ComputeNanos: int64(computeEnd.Sub(computeStart))}, ct, cellStart)
 			}

@@ -75,7 +75,7 @@ func (r *RemoteStore) Get(hash string) (data []byte, ok bool, err error) {
 }
 
 // Put uploads the envelope under hash to the origin, populating it for
-// every other client of the same build.
+// every other client built from the same model.
 func (r *RemoteStore) Put(hash string, data []byte) (err error) {
 	start := time.Now()
 	defer func() { r.c.recordPut(start, err) }()

@@ -10,9 +10,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"pacram/internal/modelid"
 )
 
 // TestDiskStoreReadsPreexistingLayout hand-writes a cache entry in the
@@ -150,6 +154,47 @@ func TestHashCellMatchesFormatted(t *testing.T) {
 		fp, key := str(40), str(1500)
 		if got, want := hashCell(fp, seed, key), formatted(fp, seed, key); got != want {
 			t.Fatalf("hashCell(%q, %d, %q) = %s, want %s", fp, seed, key, got, want)
+		}
+	}
+}
+
+// TestCellAddressLayout pins a cell's address to its documented
+// message, built here by hand: the caller's fingerprint, "\x1fbuild=",
+// the identity (model, architecture and toolchain), "\x1f", the
+// decimal seed, "\x1f" and the key. The address is the first 20 bytes
+// of the message's SHA-256, hex-encoded. The stored fingerprint is the
+// message's first two parts, and isFullFingerprint agrees with
+// fullFingerprint.
+func TestCellAddressLayout(t *testing.T) {
+	identity := modelid.Model + "/" + runtime.GOARCH + "/" + runtime.Version()
+	for _, c := range []struct {
+		fp   string
+		seed uint64
+		key  string
+	}{
+		{"scenario:v1", 1, "fig17/RFM/nrh=64/cfg=0.18/mix00"},
+		{"char:v1:rows=8", 0, "fig6/H7"},
+		{"", math.MaxUint64, ""},
+	} {
+		msg := c.fp + "\x1fbuild=" + identity + "\x1f" + strconv.FormatUint(c.seed, 10) + "\x1f" + c.key
+		sum := sha256.Sum256([]byte(msg))
+		if got, want := hashCell(c.fp, c.seed, c.key), hex.EncodeToString(sum[:20]); got != want {
+			t.Errorf("hashCell(%q, %d, %q) = %s, want %s", c.fp, c.seed, c.key, got, want)
+		}
+		full := fullFingerprint(c.fp)
+		if want := c.fp + "\x1fbuild=" + identity; full != want {
+			t.Errorf("fullFingerprint(%q) = %q, want %q", c.fp, full, want)
+		}
+		if !isFullFingerprint(full, c.fp) {
+			t.Errorf("isFullFingerprint(fullFingerprint(%q), %q) = false", c.fp, c.fp)
+		}
+		for _, other := range []string{full + "x", full[:len(full)-1], c.fp + "\x1fbuild=other", c.fp, full + full} {
+			if isFullFingerprint(other, c.fp) {
+				t.Errorf("isFullFingerprint(%q, %q) = true, want false", other, c.fp)
+			}
+		}
+		if isFullFingerprint(full, c.fp+"x") {
+			t.Errorf("isFullFingerprint(%q, %q) = true, want false", full, c.fp+"x")
 		}
 	}
 }

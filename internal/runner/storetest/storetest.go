@@ -149,8 +149,8 @@ func Run(t *testing.T, mk Factory) {
 		}
 	})
 
-	// A changed fingerprint — which is how a changed build manifests,
-	// since the build identity is folded into the stored fingerprint —
+	// A changed fingerprint — which is how a changed model manifests,
+	// since the model identity is folded into the stored fingerprint —
 	// must be a silent miss, never an error and never a wrong result.
 	t.Run("FingerprintInvalidates", func(t *testing.T) {
 		s := mk(t)
