@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"pacram/internal/exp"
@@ -78,7 +77,7 @@ func main() {
 			os.Exit(1)
 		}
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, tbl); err != nil {
+			if err := tbl.WriteCSVFile(*csvDir); err != nil {
 				fmt.Fprintf(os.Stderr, "characterize: %v\n", err)
 				os.Exit(1)
 			}
@@ -130,16 +129,4 @@ func runExperiment(id string, opt exp.CharOptions) (*exp.Table, error) {
 		return exp.Profiling(), nil
 	}
 	return nil, fmt.Errorf("unknown experiment %q (have: %s)", id, strings.Join(experiments, " "))
-}
-
-func writeCSV(dir string, tbl *exp.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, tbl.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tbl.WriteCSV(f)
 }

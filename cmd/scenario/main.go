@@ -35,7 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"pacram/internal/exp"
 	"pacram/internal/runner"
 	"pacram/internal/scenario"
 	"pacram/internal/service"
@@ -336,7 +335,7 @@ func run(args []string) error {
 			return err
 		}
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, tbl); err != nil {
+			if err := tbl.WriteCSVFile(*csvDir); err != nil {
 				return err
 			}
 		}
@@ -463,16 +462,4 @@ func load(name string) (*scenario.Spec, error) {
 		return scenario.LoadFile(name)
 	}
 	return scenario.ByName(name)
-}
-
-func writeCSV(dir string, tbl *exp.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, tbl.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tbl.WriteCSV(f)
 }

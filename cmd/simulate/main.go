@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -155,7 +154,7 @@ func realMain() error {
 			return err
 		}
 		if *csvDir != "" {
-			if err := writeCSV(*csvDir, tbl); err != nil {
+			if err := tbl.WriteCSVFile(*csvDir); err != nil {
 				return err
 			}
 		}
@@ -251,16 +250,4 @@ func runTraceFile(w io.Writer, path string, o exp.SysOptions, profile bool) erro
 			p.Refreshes, p.RFMs, p.PreventiveRefreshes)
 	}
 	return nil
-}
-
-func writeCSV(dir string, tbl *exp.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, tbl.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return tbl.WriteCSV(f)
 }

@@ -123,6 +123,31 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteCSVFile: the file variant creates its directory and writes
+// WriteCSV's bytes to <dir>/<ID>.csv, and reports a directory it cannot
+// create.
+func TestWriteCSVFile(t *testing.T) {
+	tbl := AreaReport()
+	dir := t.TempDir() + "/out/csv"
+	if err := tbl.WriteCSVFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(dir + "/" + tbl.ID + ".csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tbl.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %q, want %q", got, want.Bytes())
+	}
+	if err := tbl.WriteCSVFile(dir + "/" + tbl.ID + ".csv/sub"); err == nil {
+		t.Fatal("a directory under a file was accepted")
+	}
+}
+
 // checkGolden compares got with the committed golden file, naming the
 // first line that differs.
 func checkGolden(t *testing.T, path, got string) {

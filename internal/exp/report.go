@@ -15,6 +15,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -112,4 +114,21 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	return cw.WriteAll(t.Rows)
+}
+
+// WriteCSVFile writes the table's CSV to dir/<ID>.csv, creating dir.
+// A failed close is reported: it can be the write that failed.
+func (t *Table) WriteCSVFile(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, t.ID+".csv"))
+	if err != nil {
+		return err
+	}
+	err = t.WriteCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

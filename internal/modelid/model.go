@@ -12,6 +12,7 @@ package modelid
 //	internal/ddr
 //	internal/device
 //	internal/energy
+//	internal/jsonexact
 //	internal/memsys
 //	internal/mitigation
 //	internal/sim
@@ -19,4 +20,4 @@ package modelid
 //	internal/telemetry
 //	internal/trace
 //	internal/xrand
-const Model = "e94172badeeeae74a468"
+const Model = "d6a2193df66d84bfb13c"

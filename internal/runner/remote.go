@@ -64,12 +64,19 @@ type RemoteResult struct {
 // entry envelope (key + full fingerprint + result), the exact bytes
 // PutCell stores and the store wire protocol carries. Workers use it to
 // answer execute requests in the same currency everything else speaks.
+// The bytes are json.Marshal of an entry: appendEnvelopePrefix, then
+// json.Marshal(v), then the closing brace.
 func EncodeCellEnvelope(fingerprint, key string, v any) ([]byte, error) {
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(entry{Key: key, Fingerprint: fullFingerprint(fingerprint), Result: raw})
+	fp := fullFingerprint(fingerprint)
+	// 64 bytes hold the field names, the quotes, the closing brace and
+	// the fingerprint's escaped separator.
+	data := appendEnvelopePrefix(make([]byte, 0, len(key)+len(fp)+len(raw)+64), key, fp)
+	data = append(data, raw...)
+	return append(data, '}'), nil
 }
 
 // DecodeCellEnvelope validates an envelope against the expected key and

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
+
+	"pacram/internal/jsonexact"
 )
 
 // Store is the pluggable result-store contract: content-addressed
@@ -145,11 +147,7 @@ func decodeCellFast(data []byte, fp, key string, out cellDecoder) bool {
 		return false
 	}
 	var buf [256]byte
-	prefix := append(buf[:0], `{"key":`...)
-	prefix = appendJSONString(prefix, key)
-	prefix = append(prefix, `,"fingerprint":`...)
-	prefix = appendJSONString(prefix, fp)
-	prefix = append(prefix, `,"result":`...)
+	prefix := appendEnvelopePrefix(buf[:0], key, fp)
 	n := len(prefix)
 	if len(data) <= n || !bytes.Equal(data[:n], prefix) || data[len(data)-1] != '}' {
 		return false
@@ -157,10 +155,16 @@ func decodeCellFast(data []byte, fp, key string, out cellDecoder) bool {
 	return out.DecodeCell(data[n : len(data)-1])
 }
 
-// appendJSONString appends s as json.Marshal writes it.
-func appendJSONString(dst []byte, s string) []byte {
-	b, _ := json.Marshal(s) // a string always marshals
-	return append(dst, b...)
+// appendEnvelopePrefix appends the envelope's bytes up to its result,
+// {"key":<key>,"fingerprint":<fp>,"result":, as json.Marshal writes
+// them for an entry. The envelope is this prefix, the result's bytes
+// and a closing brace.
+func appendEnvelopePrefix(dst []byte, key, fp string) []byte {
+	dst = append(dst, `{"key":`...)
+	dst = jsonexact.AppendString(dst, key)
+	dst = append(dst, `,"fingerprint":`...)
+	dst = jsonexact.AppendString(dst, fp)
+	return append(dst, `,"result":`...)
 }
 
 // CellError is the error type GetCell returns: a store failure or

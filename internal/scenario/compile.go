@@ -416,11 +416,8 @@ func (p *Plan) addJob(rc *resolvedCell, mem resolvedMember) (int, error) {
 	}), nil
 }
 
-// simOptions assembles the sim.Options for one cell. All-catalog
-// members go through Options.Workloads — the exact path the exp
-// planner uses, so the paper figures reproduce its bytes; members
-// with attacker or phased cores build Options.Generators with the same
-// per-core seed derivation.
+// simOptions assembles the sim.Options for one cell: one generator per
+// core, seeded with sim.WorkloadSeed as sim.Run seeds Options.Workloads.
 func (rc *resolvedCell) simOptions(cores []resolvedCore) (sim.Options, error) {
 	opt := sim.Options{
 		MemCfg:            rc.MemCfg,
@@ -433,20 +430,6 @@ func (rc *resolvedCell) simOptions(cores []resolvedCore) (sim.Options, error) {
 		Warmup:            rc.Warmup,
 		MaxCycles:         rc.MaxCycles,
 		Seed:              rc.Seed,
-	}
-	allSpecs := true
-	for _, c := range cores {
-		if c.Spec == nil {
-			allSpecs = false
-			break
-		}
-	}
-	if allSpecs {
-		opt.Workloads = make([]trace.Spec, len(cores))
-		for i, c := range cores {
-			opt.Workloads[i] = *c.Spec
-		}
-		return opt, nil
 	}
 	opt.Generators = make([]trace.Generator, len(cores))
 	for i, c := range cores {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"pacram/internal/jsonexact"
 	"pacram/internal/memsys"
 )
 
@@ -73,17 +74,12 @@ func (e *keyEncoder) encode(rc *resolvedCell, m resolvedMember) ([]byte, error) 
 	b := append(e.buf[:0], `{"v":1,"mem":`...)
 	b = append(b, mem...)
 	b = append(b, `,"mitigation":`...)
-	b, err := appendJSON(b, rc.Mitigation)
-	if err != nil {
-		return nil, err
-	}
+	b = jsonexact.AppendString(b, rc.Mitigation)
 	b = append(b, `,"nrh":`...)
 	b = strconv.AppendInt(b, int64(rc.NRH), 10)
 	if rc.PacKey != nil {
 		b = append(b, `,"pacram":{"module":`...)
-		if b, err = appendJSON(b, rc.PacKey.Module); err != nil {
-			return nil, err
-		}
+		b = jsonexact.AppendString(b, rc.PacKey.Module)
 		b = append(b, `,"factorIdx":`...)
 		b = strconv.AppendInt(b, int64(rc.PacKey.FactorIdx), 10)
 		b = append(b, '}')
@@ -92,10 +88,13 @@ func (e *keyEncoder) encode(rc *resolvedCell, m resolvedMember) ([]byte, error) 
 		b = append(b, `,"periodic":true`...)
 	}
 	if rc.PeriodicFactor != 0 {
-		b = append(b, `,"periodicFactor":`...)
-		if b, err = appendJSON(b, rc.PeriodicFactor); err != nil {
+		// encoding/json's shortest float form; NaN and Inf are errors.
+		f, err := json.Marshal(rc.PeriodicFactor)
+		if err != nil {
 			return nil, err
 		}
+		b = append(b, `,"periodicFactor":`...)
+		b = append(b, f...)
 	}
 	b = append(b, `,"insts":`...)
 	b = strconv.AppendUint(b, rc.Insts, 10)
@@ -112,11 +111,4 @@ func (e *keyEncoder) encode(rc *resolvedCell, m resolvedMember) ([]byte, error) 
 	b = append(b, '}')
 	e.buf = b
 	return b, nil
-}
-
-// appendJSON appends v as encoding/json writes it (strings
-// HTML-escaped, floats in its shortest form; NaN and Inf are errors).
-func appendJSON(b []byte, v any) ([]byte, error) {
-	enc, err := json.Marshal(v)
-	return append(b, enc...), err
 }

@@ -25,10 +25,9 @@ import (
 // path the server has always had, and a fleet of zero workers is
 // byte-identical to no fleet at all.
 
-// Default fleet liveness knobs; Config.WorkerTTL overrides.
-const (
-	defaultWorkerTTL = 15 * time.Second
-)
+// workerTTL is how long the coordinator keeps a silent worker in the
+// dispatch ring before expiring it. Workers heartbeat at a third of it.
+const workerTTL = 15 * time.Second
 
 // Worker states surfaced by the workers endpoint.
 const (
@@ -58,7 +57,7 @@ type workerEntry struct {
 // marked draining when they answer 503, and dead when a dispatch
 // fails — all three leave the ring so remaining cells remap.
 type fleet struct {
-	ttl time.Duration
+	ttl time.Duration // workerTTL; tests set a short one
 	hc  *http.Client
 	log *slog.Logger
 
@@ -73,13 +72,11 @@ type fleet struct {
 	workers map[string]*workerEntry
 }
 
-func newFleet(ttl, dispatchTimeout time.Duration, log *slog.Logger, reg *telemetry.Registry) *fleet {
-	if ttl <= 0 {
-		ttl = defaultWorkerTTL
-	}
+func newFleet(log *slog.Logger, reg *telemetry.Registry) *fleet {
 	f := &fleet{
-		ttl:     ttl,
-		hc:      &http.Client{Timeout: dispatchTimeout},
+		ttl: workerTTL,
+		// No timeout: cells legitimately compute for minutes.
+		hc:      &http.Client{},
 		log:     log,
 		ring:    runner.NewRing(0),
 		workers: make(map[string]*workerEntry),

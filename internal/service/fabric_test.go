@@ -414,10 +414,11 @@ func TestFabricExactlyOnceAcrossFleet(t *testing.T) {
 // TestFabricWorkerExpires: a worker that stops heartbeating (without
 // deregistering) is expired from the registry once its TTL lapses.
 func TestFabricWorkerExpires(t *testing.T) {
-	srv, err := New(Config{Workers: 1, CacheDir: t.TempDir(), WorkerTTL: 150 * time.Millisecond})
+	srv, err := New(Config{Workers: 1, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.fleet.ttl = 150 * time.Millisecond
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	client := NewClient(hs.URL)

@@ -56,11 +56,6 @@ type Config struct {
 	// (submission, completion, drain) and store-degradation warnings
 	// with cell/location fields. Nil discards logs.
 	Logger *slog.Logger
-	// RetainJobs caps how many finished jobs (with their event
-	// histories and rendered artifacts) stay fetchable; once exceeded,
-	// the oldest finished jobs are evicted on new submissions. Running
-	// jobs are never evicted. <= 0 means the default of 256.
-	RetainJobs int
 	// TraceDir, when non-empty, records one span-tree trace per job as
 	// <TraceDir>/<jobID>.trace.jsonl (see cmd/tracetool for the
 	// summarizer). Tracing is observability: a failing trace file is
@@ -70,17 +65,13 @@ type Config struct {
 	// registers under when joining a coordinator, and the name stamped
 	// on cells it executes for one. Empty derives a host-pid default.
 	WorkerName string
-	// WorkerTTL is how long the coordinator keeps a silent worker in
-	// the dispatch ring before expiring it; <= 0 uses the default
-	// (15 s). Workers heartbeat at a third of this.
-	WorkerTTL time.Duration
-	// DispatchTimeout caps one cell dispatch round trip; 0 means no
-	// timeout (cells legitimately compute for minutes). A dispatch that
-	// times out is a worker failure: evict, warn, compute locally.
-	DispatchTimeout time.Duration
 }
 
-const defaultRetainJobs = 256
+// retainJobs caps how many finished jobs (with their event histories
+// and rendered artifacts) stay fetchable; once exceeded, the oldest
+// finished jobs are evicted on new submissions. Running jobs are never
+// evicted.
+const retainJobs = 256
 
 // Server executes scenario submissions on one shared pool and result
 // store. Construct with New, expose via Handler, stop via Drain (and
@@ -128,7 +119,7 @@ type Server struct {
 	jobs   map[string]*job
 	order  []string // submission order, for listing
 	nextID int
-	retain int
+	retain int // retainJobs; tests set a small one
 }
 
 // job is one submission's lifecycle. Progress fields are guarded by
@@ -184,11 +175,8 @@ func New(cfg Config) (*Server, error) {
 		log:          cfg.Logger,
 		reg:          telemetry.New(),
 		jobs:         make(map[string]*job),
-		retain:       cfg.RetainJobs,
+		retain:       retainJobs,
 		traceDir:     cfg.TraceDir,
-	}
-	if s.retain <= 0 {
-		s.retain = defaultRetainJobs
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -208,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.workerName = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	s.fleet = newFleet(cfg.WorkerTTL, cfg.DispatchTimeout, s.log, s.reg)
+	s.fleet = newFleet(s.log, s.reg)
 
 	specs, err := scenario.Catalog()
 	if err != nil {

@@ -518,14 +518,15 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 }
 
 // TestJobRetentionEvictsOldestFinished bounds the registry: beyond
-// RetainJobs, the oldest finished jobs (history and artifacts
+// the retention cap, the oldest finished jobs (history and artifacts
 // included) are evicted on new submissions while newer ones stay
 // fetchable.
 func TestJobRetentionEvictsOldestFinished(t *testing.T) {
-	srv, err := New(Config{Workers: 2, CacheDir: t.TempDir(), RetainJobs: 2})
+	srv, err := New(Config{Workers: 2, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retain = 2
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	client := NewClient(hs.URL)

@@ -135,8 +135,9 @@ type JobStatus struct {
 // CellEvent is one per-cell progress event on the SSE stream (event
 // type "cell"). The terminal event (type "done") carries a JobStatus
 // instead. appendCellFrame and parseCellEvent spell these fields out
-// by hand, in this order: a new field goes there too (FuzzCellFrame
-// holds both to encoding/json).
+// by hand, in this order, under the exact-JSON contract of package
+// jsonexact: a new field goes there too (FuzzCellFrame holds both to
+// encoding/json).
 type CellEvent struct {
 	// Key is the cell's content-addressed job key.
 	Key string `json:"key"`

@@ -187,7 +187,7 @@ func (m *Membership) loop(ctx context.Context) {
 	for {
 		interval := m.interval
 		if interval <= 0 {
-			interval = defaultWorkerTTL / 3
+			interval = workerTTL / 3
 		}
 		select {
 		case <-ctx.Done():
